@@ -174,9 +174,8 @@ int main() {
   // Interleave the fleet round-robin in chunks, ticking the control plane
   // between rounds. Chunked delivery is what a transport would do; the
   // chunk size keeps the schedule tenant-interleaved rather than serial.
-  // Each tenant's sink batches internally (IngestBatcher -> IngestBatch),
-  // so sustained streams flow through the stripe-sharded parallel fold on
-  // the router's shared pool.
+  // Each tenant's sink batches internally (IngestBatcher -> IngestBatch)
+  // and folds each batch serially on the thread that flushes it.
   constexpr size_t kChunk = 100;
   const auto run_fleet = [&](TenantRouter* r) -> uint64_t {
     uint64_t delivered = 0;
@@ -301,9 +300,10 @@ int main() {
   std::printf("store footprint:   %" PRIu64 " bytes in MemFs\n", fs.TotalBytes());
 
   // Thread sweep (in-process only): the whole fleet replayed on fresh
-  // routers at pool widths 1/2/4/8. Each tenant's batched ingest rides the
-  // stripe-sharded fold, so aggregate refs/s should rise with the pool on
-  // a wide-enough host; scaling_valid records whether this host qualifies.
+  // routers at pool widths 1/2/4/8. Ingest folds serially per tenant; the
+  // shared pool carries cluster scoring, so aggregate refs/s moves with the
+  // pool only as far as clustering does. scaling_valid records whether this
+  // host covers the sweep.
   struct SweepPoint {
     int threads = 0;
     double refs_per_sec = 0.0;

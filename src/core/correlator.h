@@ -13,21 +13,10 @@
 // no heap allocation once a path has been seen. Strings reappear only on
 // the query egress (Distance/NeighborPaths diagnostics, persistence).
 //
-// Two ingest paths produce identical state:
-//
-//  * the serial ReferenceSink methods (one event at a time), and
-//  * IngestBatch — a batched, sharded pipeline that partitions each batch
-//    of events by owning process stream, measures semantic distances for
-//    all shards in parallel (measurement is pure per-stream), and folds
-//    the observations into the relation table partitioned by the table's
-//    256-file stripes: one worker folds each stripe's observations in
-//    trace order, and the cross-stripe side effects are replayed
-//    sequentially afterwards. Per-file relation state depends only on that
-//    file's own observation subsequence (same stripe, same worker, trace
-//    order), the observations' global ordinals, liveness flags frozen for
-//    the segment, and stateless tie-break draws — all invariant in the
-//    thread count — so the resulting state is bit-identical to serial
-//    ingest at any thread count (DESIGN.md §15).
+// There is one ingest path. The ReferenceSink methods apply one event at a
+// time, and IngestBatch is a plain loop over those same methods, so batched
+// and one-at-a-time delivery produce identical state by construction
+// (DESIGN.md §11).
 #ifndef SRC_CORE_CORRELATOR_H_
 #define SRC_CORE_CORRELATOR_H_
 
@@ -45,7 +34,6 @@
 #include "src/core/relation_table.h"
 #include "src/core/snapshot_codec.h"
 #include "src/observer/reference.h"
-#include "src/util/flat_map.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
@@ -71,21 +59,17 @@ struct IngestEvent {
   Time time = 0;
 };
 
-// Counters describing what the batched ingest path actually did.
+// Counters describing what the batched ingest path did.
 struct IngestStats {
-  uint64_t batches = 0;         // IngestBatch calls
-  uint64_t segments = 0;        // parallel measure/fold rounds
-  uint64_t shards = 0;          // per-segment stream shards, summed
-  uint64_t refs = 0;            // reference events ingested via batches
-  uint64_t barriers = 0;        // non-reference events (segment cuts)
-  uint64_t max_shard_refs = 0;  // largest single shard seen
-  // Phase timing (accumulated wall time) and fold-plane shape, for the
-  // `seerctl replay --stats` per-phase breakdown.
-  uint64_t measure_us = 0;       // parallel distance measurement
-  uint64_t fold_us = 0;          // relation fold (either mode) + log replay
-  uint64_t parallel_folds = 0;   // segments folded by the sharded path
-  uint64_t serial_folds = 0;     // segments under the serial cutoff
-  uint64_t fold_stripes = 0;     // stripes folded by the sharded path, summed
+  uint64_t batches = 0;     // IngestBatch calls
+  uint64_t refs = 0;        // reference events ingested via batches
+  uint64_t barriers = 0;    // non-reference events ingested via batches
+  // Wall time of IngestBatch. Distance measurement and the relation fold
+  // run interleaved, one reference at a time, so one clock pair per batch
+  // books both to fold_us; measure_us stays 0 and is kept so readers that
+  // sum the two still read the whole ingest time.
+  uint64_t measure_us = 0;
+  uint64_t fold_us = 0;
 };
 
 class Correlator : public ReferenceSink {
@@ -102,28 +86,17 @@ class Correlator : public ReferenceSink {
 
   // --- Batched ingest ------------------------------------------------------
 
-  // Applies `count` events as the sharded pipeline: consecutive reference
-  // events form segments (cut by the non-reference barrier events and by
-  // references that would resurrect a deleted file, which flips a liveness
-  // flag mid-run); each segment is partitioned by owning stream, measured
-  // in parallel, and folded into the relation table in trace order. End
-  // state is bit-identical to feeding the same events through the serial
-  // sink methods, at any thread count.
+  // Applies `count` events in order through the sink methods above, and
+  // books the call in ingest_stats().
   void IngestBatch(const IngestEvent* events, size_t count);
 
-  // Measure-phase thread count for batched ingest; 0 restores the default
-  // (SEER_THREADS / hardware concurrency).
-  void SetIngestThreads(int threads);
-  int ingest_threads() const;
-
-  // Run all parallel phases (ingest measurement and cluster scoring) on a
-  // caller-owned pool instead of private ones. The multi-tenant router
-  // multiplexes one pool across every resident tenant this way; per-tenant
-  // worker threads would not scale. nullptr restores private pools.
-  // Results are unchanged either way — every parallel phase is
-  // bit-identical at any thread count, and contended dispatches fall back
-  // to inline execution (see ThreadPool).
-  void UseSharedPool(ThreadPool* pool);
+  // Run cluster scoring on a caller-owned pool instead of a private one.
+  // The multi-tenant router multiplexes one pool across every resident
+  // tenant this way; per-tenant worker threads would not scale. nullptr
+  // restores the private pool. Results are unchanged either way — cluster
+  // scoring is bit-identical at any thread count, and contended dispatches
+  // fall back to inline execution (see ThreadPool).
+  void UseSharedPool(ThreadPool* pool) { clusters_.set_shared_pool(pool); }
 
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
@@ -238,47 +211,6 @@ class Correlator : public ReferenceSink {
  private:
   static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotV1(std::string_view bytes);
 
-  // --- batched ingest plumbing (state reused across segments) --------------
-  struct PendingRef {
-    RefKind kind = RefKind::kPoint;
-    FileId id = kInvalidFileId;
-    Time time = 0;
-  };
-  struct MeasuredObs {
-    FileId from = kInvalidFileId;
-    FileId to = kInvalidFileId;
-    double distance = 0.0;
-    int32_t hint = -1;  // pre-computed relation-table slot of (from, to)
-  };
-  struct RefLoc {
-    uint32_t shard = 0;
-    uint32_t index = 0;  // position within the shard's ref list
-  };
-  struct IngestShard {
-    ReferenceStreams::Stream* stream = nullptr;
-    std::vector<PendingRef> refs;
-    std::vector<MeasuredObs> obs;       // filtered observations, ref-ordered
-    std::vector<uint32_t> offsets;      // obs range of ref i: [off[i], off[i+1])
-    std::vector<DistanceObservation> scratch;
-  };
-
-  // Observations below this count fold serially: dispatching a handful of
-  // folds across workers costs more than the folds themselves.
-  static constexpr size_t kParallelFoldMinObs = 512;
-
-  // One observation's position in the stripe-partitioned fold worklist.
-  struct FoldItem {
-    uint32_t shard = 0;  // owning IngestShard
-    uint32_t index = 0;  // index into that shard's obs array
-    uint32_t ord = 0;    // 1-based position in the segment's trace order
-  };
-
-  void AddRefToSegment(RefKind kind, Pid pid, FileId id, Time time);
-  void FlushSegment();
-  void FoldSegmentSharded(size_t total_obs);
-  void MeasureShard(IngestShard* shard);
-  ThreadPool* IngestPool();
-
   SeerParams params_;
   FileTable files_;
   RelationTable relations_;
@@ -289,23 +221,7 @@ class Correlator : public ReferenceSink {
   uint64_t references_processed_ = 0;
   uint64_t global_ref_seq_ = 0;
 
-  std::vector<IngestShard> shards_;
-  size_t active_shards_ = 0;
-  FlatMap<uint64_t, uint32_t> shard_of_pid_{0};  // key = pid + 1 (0 reserved)
-  std::vector<RefLoc> ref_order_;                // segment refs in trace order
-  // Sharded-fold scratch, reused across segments: per-stripe observation
-  // counts / bucket cursors, the stripe-partitioned worklist (trace order
-  // within each bucket), the touched-stripe list, and per-stripe logs.
-  std::vector<uint32_t> stripe_offsets_;
-  std::vector<uint32_t> stripe_cursor_;
-  std::vector<FoldItem> fold_items_;
-  std::vector<uint32_t> touched_stripes_;
-  std::vector<RelationTable::StripeFoldLog> fold_logs_;
   IngestStats ingest_stats_;
-  int ingest_threads_ = 0;
-  std::unique_ptr<ThreadPool> ingest_pool_;
-  int ingest_pool_threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides ingest_pool_
 };
 
 // Accumulates sink events and applies them to a Correlator via IngestBatch
@@ -339,62 +255,6 @@ class IngestBatcher {
   Correlator* correlator_;
   size_t capacity_;
   std::vector<IngestEvent> events_;
-};
-
-// ReferenceSink adapter over IngestBatcher: drop it between an observer and
-// a correlator to get batched (parallel-measure) replay with unchanged
-// semantics. The destructor flushes the tail batch.
-class BatchingSink : public ReferenceSink {
- public:
-  explicit BatchingSink(Correlator* correlator, size_t capacity = 1024)
-      : batcher_(correlator, capacity) {}
-  ~BatchingSink() override { batcher_.Flush(); }
-
-  void OnReference(const FileReference& ref) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kReference;
-    e.ref = ref;
-    batcher_.Add(e);
-  }
-  void OnProcessFork(Pid parent, Pid child) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kFork;
-    e.parent = parent;
-    e.child = child;
-    batcher_.Add(e);
-  }
-  void OnProcessExit(Pid pid) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kExit;
-    e.child = pid;
-    batcher_.Add(e);
-  }
-  void OnFileDeleted(PathId path, Time time) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kDeleted;
-    e.path = path;
-    e.time = time;
-    batcher_.Add(e);
-  }
-  void OnFileRenamed(PathId from, PathId to, Time time) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kRenamed;
-    e.path = from;
-    e.path2 = to;
-    e.time = time;
-    batcher_.Add(e);
-  }
-  void OnFileExcluded(PathId path) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kExcluded;
-    e.path = path;
-    batcher_.Add(e);
-  }
-
-  void Flush() { batcher_.Flush(); }
-
- private:
-  IngestBatcher batcher_;
 };
 
 }  // namespace seer

@@ -148,11 +148,13 @@ class DurableCorrelator : public ReferenceSink {
   SnapshotStore store_;
   std::unique_ptr<Correlator> correlator_;
   // Events are WAL-appended eagerly (one per sink call, order preserved)
-  // but applied to the correlator in batches through the sharded ingest
-  // pipeline; Checkpoint() and the correlator() accessors flush first, so
-  // batch boundaries always align with WAL checkpoints and recovery's
-  // serial replay reproduces the batched state exactly (the pipelines are
-  // bit-equivalent). Mutable: a const read must still be able to flush.
+  // but applied to the correlator in batches through IngestBatch, so the
+  // fold runs inside Tick and the flushing accessors rather than on every
+  // sink call. Checkpoint() and the correlator() accessors flush first, so
+  // batch boundaries always align with WAL checkpoints, and recovery's
+  // serial replay reproduces the batched state exactly (IngestBatch
+  // applies events through the serial sink methods). Mutable: a const
+  // read must still be able to flush.
   mutable IngestBatcher batcher_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t generation_ = 0;

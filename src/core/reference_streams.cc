@@ -21,10 +21,6 @@ ReferenceStreams::Stream& ReferenceStreams::GetStream(Pid pid) {
   return s;
 }
 
-ReferenceStreams::Stream* ReferenceStreams::Prepare(Pid pid) {
-  return &GetStream(pid);
-}
-
 void ReferenceStreams::OpenAdd(Stream& s, FileId file) {
   const auto it = std::lower_bound(s.open_files.begin(), s.open_files.end(), file);
   if (it == s.open_files.end() || *it != file) {
@@ -55,7 +51,7 @@ void ReferenceStreams::PruneWindow(Stream& s) {
     }
     // A file that is still open stays semantically at distance 0 to
     // everything; it is tracked via open_nesting and its state survives the
-    // window (see EndOn's compensation).
+    // window (see OnEnd's compensation).
     if (st->open_nesting == 0) {
       s.files.Erase(e.file);
     }
@@ -147,9 +143,8 @@ void ReferenceStreams::OnPoint(Pid pid, FileId file, Time time,
   Reference(GetStream(pid), file, time, /*keep_open=*/false, out);
 }
 
-void ReferenceStreams::OnEnd(Pid pid, FileId file) { EndOn(GetStream(pid), file); }
-
-void ReferenceStreams::EndOn(Stream& s, FileId file) {
+void ReferenceStreams::OnEnd(Pid pid, FileId file) {
+  Stream& s = GetStream(pid);
   FileState* st = s.files.FindMutable(file);
   if (st == nullptr || st->open_nesting == 0) {
     return;  // close of a reference we never saw open — ignore

@@ -37,9 +37,8 @@
 // path is interned into GlobalPaths() once, at its dictionary
 // definition. Decoded events pass through the tenant's own Observer and
 // into SinkFor(tenant), whose DurableCorrelator coalesces them through
-// its IngestBatcher so wire ingest rides the stripe-sharded relation
-// fold. Responses are batched per read burst and flushed with one
-// gathered write (net::WriteVec).
+// its IngestBatcher and folds each batch serially. Responses are batched
+// per read burst and flushed with one gathered write (net::WriteVec).
 //
 // Backpressure is unchanged: frames dispatch synchronously on the owning
 // shard, so a slow tenant stalls only that shard's read loop for that

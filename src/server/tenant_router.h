@@ -12,8 +12,8 @@
 //     router resolves every callback to the tenant's DurableCorrelator,
 //     creating the tenant on first reference and transparently restoring
 //     it if it was evicted.
-//   * One shared ThreadPool runs every tenant's ingest measurement,
-//     cluster scoring, recovery decode, and snapshot encode. Pools are
+//   * One shared ThreadPool runs every tenant's cluster scoring,
+//     recovery decode, and snapshot encode. Pools are
 //     never created per tenant; contended dispatches fall back to inline
 //     execution (see ThreadPool), so results are unchanged.
 //   * Tick(now) drives the control plane: harvest finished background

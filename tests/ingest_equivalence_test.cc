@@ -1,18 +1,20 @@
 // Serial-vs-batched ingest equivalence.
 //
-// The sharded ingest pipeline (Correlator::IngestBatch) must produce state
-// bit-identical to one-at-a-time serial sink delivery at any thread count
-// and any batch size: same relation table (update counter, aging, RNG
-// tie-break stream), same reference streams, same file table. The binary
-// snapshot covers all of it, so equality of EncodeSnapshot() bytes is the
-// strongest practical assertion. Traces here are randomized with
-// fork/exit/delete/rename/exclude interleavings to exercise every segment
-// barrier, plus deletion→re-reference runs to exercise the resurrection
-// cut inside a single batch.
+// Batched ingest (Correlator::IngestBatch, and the AsyncCorrelator worker
+// that drains into it) must produce state bit-identical to one-at-a-time
+// serial sink delivery at any batch size: same relation table (update
+// counter, aging, tie-break draws), same reference streams, same file
+// table. The binary snapshot covers all of it, so equality of
+// EncodeSnapshot() bytes is the strongest practical assertion. Traces here
+// are randomized with fork/exit/delete/rename/exclude interleavings that
+// land anywhere within a batch, plus deletion→re-reference runs inside a
+// single batch.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/async_pipeline.h"
@@ -34,7 +36,7 @@ IngestEvent RefEvent(Pid pid, RefKind kind, const std::string& path, Time time) 
 }
 
 // Feeds events through the plain serial sink interface (works for any
-// ReferenceSink: Correlator, BatchingSink, AsyncCorrelator).
+// ReferenceSink: Correlator, AsyncCorrelator).
 void ApplySerial(ReferenceSink* c, const std::vector<IngestEvent>& events) {
   for (const IngestEvent& e : events) {
     switch (e.kind) {
@@ -68,8 +70,8 @@ void ApplyBatched(Correlator* c, const std::vector<IngestEvent>& events, size_t 
 }
 
 // A randomized trace over a small path universe and a churning process
-// tree. References dominate; every barrier kind appears; deleted paths get
-// re-referenced so batches hit the resurrection cut.
+// tree. References dominate; every non-reference event kind appears;
+// deleted paths get re-referenced, which resurrects them.
 std::vector<IngestEvent> RandomTrace(uint32_t seed, size_t count) {
   std::mt19937 rng(seed);
   std::vector<IngestEvent> events;
@@ -148,34 +150,26 @@ SeerParams ChurnParams() {
   return p;
 }
 
-TEST(IngestEquivalence, BatchedMatchesSerialAcrossThreadCounts) {
-  const std::vector<IngestEvent> events = RandomTrace(0xA11CE, 3000);
-
-  Correlator serial(ChurnParams());
-  ApplySerial(&serial, events);
-  const std::string want = serial.EncodeSnapshot();
-
-  for (const int threads : {1, 2, 4, 8}) {
-    Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    ApplyBatched(&batched, events, 256);
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
-    EXPECT_EQ(serial.references_processed(), batched.references_processed());
-  }
-}
+// Batch sizes for every batched-vs-serial comparison: from single events
+// through sizes that cut the traces at arbitrary points to one batch larger
+// than most traces.
+constexpr size_t kBatchSizes[] = {1, 7, 17, 64, 100, 256, 512, 4096};
 
 TEST(IngestEquivalence, BatchedMatchesSerialAcrossBatchSizes) {
-  const std::vector<IngestEvent> events = RandomTrace(0xB0B, 2000);
+  for (const auto& [seed, count] : {std::pair<uint32_t, size_t>{0xA11CE, 3000},
+                                    std::pair<uint32_t, size_t>{0xB0B, 2000}}) {
+    const std::vector<IngestEvent> events = RandomTrace(seed, count);
 
-  Correlator serial(ChurnParams());
-  ApplySerial(&serial, events);
-  const std::string want = serial.EncodeSnapshot();
+    Correlator serial(ChurnParams());
+    ApplySerial(&serial, events);
+    const std::string want = serial.EncodeSnapshot();
 
-  for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
-    Correlator batched(ChurnParams());
-    batched.SetIngestThreads(4);
-    ApplyBatched(&batched, events, batch);
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
+    for (const size_t batch : kBatchSizes) {
+      Correlator batched(ChurnParams());
+      ApplyBatched(&batched, events, batch);
+      EXPECT_EQ(want, batched.EncodeSnapshot()) << "seed=" << seed << " batch=" << batch;
+      EXPECT_EQ(serial.references_processed(), batched.references_processed());
+    }
   }
 }
 
@@ -190,7 +184,6 @@ TEST(IngestEquivalence, ManySeedsManyConfigs) {
       ApplySerial(&serial, events);
 
       Correlator batched(params);
-      batched.SetIngestThreads(8);
       ApplyBatched(&batched, events, 128);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "seed=" << seed << " per_process=" << per_process;
@@ -211,7 +204,6 @@ TEST(IngestEquivalence, AlternateDistanceAndMeanKinds) {
       ApplySerial(&serial, events);
 
       Correlator batched(params);
-      batched.SetIngestThreads(4);
       ApplyBatched(&batched, events, 200);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "distance_kind=" << static_cast<int>(dk)
@@ -220,11 +212,11 @@ TEST(IngestEquivalence, AlternateDistanceAndMeanKinds) {
   }
 }
 
-// The resurrection cut: delete a file, then — inside ONE batch — reference
-// other files (building a pending segment) and then the deleted file again.
-// Interning resurrects it; the pending observations must still be filtered
-// against the pre-resurrection liveness flag, exactly as serial ingest
-// filters them.
+// Resurrection within one batch: delete a file, then — inside ONE batch —
+// reference other files and then the deleted file again. Interning
+// resurrects it; the observations measured before it must still be
+// filtered against the pre-resurrection liveness flag, exactly as serial
+// ingest filters them.
 TEST(IngestEquivalence, ResurrectionWithinOneBatch) {
   auto build = [](Time* time) {
     std::vector<IngestEvent> events;
@@ -240,8 +232,7 @@ TEST(IngestEquivalence, ResurrectionWithinOneBatch) {
     del.path = P("/res/f2");
     del.time = *time;
     events.push_back(del);
-    // One long run with the resurrecting reference in the middle: the cut
-    // must flush the first half before interning /res/f2 again.
+    // One long run with the resurrecting reference in the middle.
     for (int i = 0; i < 4; ++i) {
       *time += kMicrosPerSecond;
       events.push_back(RefEvent(1, RefKind::kPoint, "/res/f" + std::to_string(i), *time));
@@ -264,13 +255,10 @@ TEST(IngestEquivalence, ResurrectionWithinOneBatch) {
   ApplySerial(&serial, trace_serial);
 
   Correlator batched(ChurnParams());
-  batched.SetIngestThreads(4);
-  // The whole trace as a single batch: the only cuts are the delete barrier
-  // and the resurrection.
+  // The whole trace as a single batch.
   batched.IngestBatch(trace_batched.data(), trace_batched.size());
 
   EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot());
-  EXPECT_GE(batched.ingest_stats().segments, 3u);  // pre-delete, pre-resurrect, rest
 }
 
 // Fork/exit under batching: the child's inherited history and the exit
@@ -318,30 +306,11 @@ TEST(IngestEquivalence, ForkMergeUnderBatching) {
 
     for (const size_t batch : {size_t{2}, size_t{5}, events.size()}) {
       Correlator batched(ChurnParams());
-      batched.SetIngestThreads(4);
       ApplyBatched(&batched, events, batch);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "round=" << round << " batch=" << batch;
     }
   }
-}
-
-TEST(IngestEquivalence, BatchingSinkMatchesSerial) {
-  const std::vector<IngestEvent> events = RandomTrace(0x51Bc, 1500);
-
-  Correlator serial(ChurnParams());
-  ApplySerial(&serial, events);
-
-  Correlator batched(ChurnParams());
-  batched.SetIngestThreads(4);
-  {
-    // Tiny capacity so the sink flushes many partial batches; the tail
-    // flush rides the destructor.
-    BatchingSink sink(&batched, 17);
-    ApplySerial(&sink, events);  // BatchingSink is itself a ReferenceSink
-  }
-  EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot());
-  EXPECT_GT(batched.ingest_stats().batches, 1u);
 }
 
 TEST(IngestEquivalence, AsyncPipelineMatchesSerial) {
@@ -353,7 +322,6 @@ TEST(IngestEquivalence, AsyncPipelineMatchesSerial) {
 
   // Small queue: the worker repeatedly drains full rings as batches.
   AsyncCorrelator async(ChurnParams(), 0x5ee8, /*queue_capacity=*/64);
-  async.SetIngestThreads(4);
   ApplySerial(&async, events);  // producer side of the pipeline
   const std::string got =
       async.Query([](const Correlator& c) { return c.EncodeSnapshot(); });
@@ -361,8 +329,8 @@ TEST(IngestEquivalence, AsyncPipelineMatchesSerial) {
   EXPECT_EQ(events.size(), async.processed());
 }
 
-// BatchingSink::ApplySerial above relies on this: the sink forwards every
-// callback kind, and a flush mid-stream leaves no event behind.
+// IngestStats books every event of every batch: references and the other
+// event kinds, with no event left behind at a batch boundary.
 TEST(IngestEquivalence, IngestStatsAccounting) {
   const std::vector<IngestEvent> events = RandomTrace(0xCAFE, 1000);
   size_t refs = 0;
@@ -376,27 +344,21 @@ TEST(IngestEquivalence, IngestStatsAccounting) {
   }
 
   Correlator batched(ChurnParams());
-  batched.SetIngestThreads(2);
   ApplyBatched(&batched, events, 100);
   const IngestStats& stats = batched.ingest_stats();
   EXPECT_EQ(10u, stats.batches);
   EXPECT_EQ(barriers, stats.barriers);
-  // Invalid references (none here: all paths intern) all reach segments.
   EXPECT_EQ(refs, stats.refs);
-  EXPECT_GE(stats.segments, 1u);
-  EXPECT_GE(stats.shards, stats.segments);  // at least one shard per segment
-  EXPECT_GE(stats.max_shard_refs, 1u);
 }
 
-// --- stripe-sharded fold -----------------------------------------------------
+// --- traces across relation-table stripes ------------------------------------
 //
-// The fold phase partitions observations by the relation table's 256-file
-// stripes and folds each stripe on its own worker. These traces span
-// several stripes (file ids are assigned in intern order, so referencing
-// `files` distinct paths up front populates ids [0, files)), keep barriers
-// rare enough that segments clear the parallel-fold cutoff, and still
-// include every barrier kind plus deletes/renames of files sitting right
-// at stripe boundaries.
+// The relation table stamps delta-checkpoint epochs per 256-file stripe.
+// These traces span several stripes (file ids are assigned in intern
+// order, so referencing `files` distinct paths up front populates ids
+// [0, files)), run long stretches of references between the other event
+// kinds, and still include every event kind plus deletes/renames of files
+// sitting right at stripe boundaries.
 std::vector<IngestEvent> StripeTrace(uint32_t seed, size_t count, size_t files) {
   std::mt19937 rng(seed);
   std::vector<IngestEvent> events;
@@ -476,39 +438,21 @@ std::vector<IngestEvent> StripeTrace(uint32_t seed, size_t count, size_t files) 
   return events;
 }
 
-TEST(IngestEquivalence, StripeShardedFoldMatchesSerialAcrossThreadCounts) {
-  // 640 files = 2.5 stripes; long barrier-free runs so segments clear the
-  // parallel-fold cutoff.
-  const std::vector<IngestEvent> events = StripeTrace(0x57121BE, 4000, 640);
-
-  Correlator serial(ChurnParams());
-  ApplySerial(&serial, events);
-  const std::string want = serial.EncodeSnapshot();
-
-  for (const int threads : {1, 2, 4, 8}) {
-    Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    ApplyBatched(&batched, events, 4096);
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
-    if (threads > 1) {
-      // The point of the suite: the sharded fold actually ran.
-      EXPECT_GT(batched.ingest_stats().parallel_folds, 0u) << "threads=" << threads;
-      EXPECT_GT(batched.ingest_stats().fold_stripes, 1u) << "threads=" << threads;
-    }
-  }
-}
-
 TEST(IngestEquivalence, StripeShardedFoldAcrossBatchSizesAndSeeds) {
-  for (const uint32_t seed : {11u, 22u, 33u}) {
-    const std::vector<IngestEvent> events = StripeTrace(seed, 2500, 512);
+  // 640 files = 2.5 stripes; 512 files = exactly 2.
+  for (const auto& [seed, count, files] :
+       {std::tuple<uint32_t, size_t, size_t>{0x57121BE, 4000, 640},
+        std::tuple<uint32_t, size_t, size_t>{11, 2500, 512},
+        std::tuple<uint32_t, size_t, size_t>{22, 2500, 512},
+        std::tuple<uint32_t, size_t, size_t>{33, 2500, 512}}) {
+    const std::vector<IngestEvent> events = StripeTrace(seed, count, files);
 
     Correlator serial(ChurnParams());
     ApplySerial(&serial, events);
     const std::string want = serial.EncodeSnapshot();
 
-    for (const size_t batch : {size_t{512}, size_t{4096}}) {
+    for (const size_t batch : kBatchSizes) {
       Correlator batched(ChurnParams());
-      batched.SetIngestThreads(8);
       ApplyBatched(&batched, events, batch);
       EXPECT_EQ(want, batched.EncodeSnapshot()) << "seed=" << seed << " batch=" << batch;
     }
@@ -516,9 +460,9 @@ TEST(IngestEquivalence, StripeShardedFoldAcrossBatchSizesAndSeeds) {
 }
 
 // Observations straddling one stripe boundary, with the boundary files
-// themselves deleted and renamed mid-trace: the from-file picks the worker,
-// the to-file lives one stripe over, and the replacement scans read
-// liveness flags of cross-stripe neighbors.
+// themselves deleted and renamed mid-trace: the to-file lives one stripe
+// over from the from-file, and the replacement scans read liveness flags
+// of cross-stripe neighbors.
 TEST(IngestEquivalence, StripeBoundaryStraddleWithBarriers) {
   std::vector<IngestEvent> events;
   Time time = 0;
@@ -556,12 +500,10 @@ TEST(IngestEquivalence, StripeBoundaryStraddleWithBarriers) {
   ApplySerial(&serial, events);
   const std::string want = serial.EncodeSnapshot();
 
-  for (const int threads : {2, 8}) {
+  for (const size_t batch : kBatchSizes) {
     Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    batched.IngestBatch(events.data(), events.size());
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
-    EXPECT_GT(batched.ingest_stats().parallel_folds, 0u);
+    ApplyBatched(&batched, events, batch);
+    EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
   }
 }
 

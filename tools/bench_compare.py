@@ -12,8 +12,8 @@ Two modes:
 
   gate FILE.json [FILE.json ...]
       Checks the intra-file scaling gates this repo commits to:
-        overhead:          ingest refs/s at 4 threads >= 2.5x serial,
-                           slab ns/obs <= legacy ns/obs
+        overhead:          steady-state batched ingest allocs/ref == 0
+                           (any host); slab ns/obs <= legacy ns/obs
         clustering_scale:  parallel speedup > 1.0 at the largest N
         multitenant:       fleet refs/s at 4 threads >= serial (warn-only)
         service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread;
@@ -41,9 +41,9 @@ META_KEYS = {
     "host_cpus", "seer_threads", "scaling_valid", "bench", "transport",
     "threads", "files", "references", "refs", "streams", "tenants",
     "refs_per_tenant", "total_refs", "queue_capacity", "encode_threads",
-    "clusters", "touched", "segments", "shards", "batches", "barriers",
-    "frames_received", "events_ingested", "parallel_folds", "fold_stripes",
-    "max_shard_refs", "dirty_files", "files_rescored", "budget_bytes",
+    "clusters", "touched", "batches", "barriers",
+    "frames_received", "events_ingested", "dirty_files", "files_rescored",
+    "budget_bytes",
     "dirty_clusters", "reused_aggregates", "touched_files",
 }
 
@@ -151,17 +151,18 @@ def sweep_rate(rows, threads, key):
 def gate_overhead(doc, failures):
     host_cpus = doc.get("host_cpus", 1)
     ingest = doc.get("ingest", {})
+    # Allocation counts do not depend on core count, so this gate holds on
+    # any host.
+    allocs = ingest.get("allocs_per_ref")
+    if allocs is None:
+        failures.append("overhead: ingest.allocs_per_ref missing from the JSON")
+    elif allocs != 0:
+        failures.append(
+            f"overhead: steady-state batched ingest allocates {allocs:.4f}/ref, "
+            "gate requires 0")
+    else:
+        print("  PASS ingest allocations: 0 allocs/ref in steady state")
     if host_cpus >= 4 and doc.get("scaling_valid", False):
-        rows = ingest.get("threads", [])
-        serial = sweep_rate(rows, 1, "refs_per_sec")
-        wide = sweep_rate(rows, 4, "refs_per_sec")
-        if serial > 0 and wide < 2.5 * serial:
-            failures.append(
-                f"overhead: ingest at 4 threads is {wide / serial:.2f}x serial "
-                f"({wide:.0f} vs {serial:.0f} refs/s), gate requires >= 2.5x")
-        else:
-            print(f"  PASS ingest 4t scaling: {wide / serial:.2f}x serial"
-                  if serial > 0 else "  SKIP ingest gate: no serial row")
         layout = ingest.get("neighbor_layout", {})
         legacy = layout.get("legacy_ns_per_obs", 0.0)
         slab = layout.get("slab_ns_per_obs", 0.0)
@@ -172,9 +173,8 @@ def gate_overhead(doc, failures):
         elif legacy > 0:
             print(f"  PASS slab layout: {slab:.1f} ns/obs <= legacy {legacy:.1f}")
     else:
-        print(f"  SKIPPED overhead scaling gates: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')} — "
-              "multi-thread numbers measure oversubscription on this host")
+        print(f"  SKIPPED overhead slab-layout gate: host_cpus={host_cpus} "
+              f"(< 4) or scaling_valid={doc.get('scaling_valid')}")
 
 
 def gate_clustering(doc, failures):
