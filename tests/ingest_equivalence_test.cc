@@ -13,6 +13,7 @@
 
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -154,6 +155,40 @@ SeerParams ChurnParams() {
 // through sizes that cut the traces at arbitrary points to one batch larger
 // than most traces.
 constexpr size_t kBatchSizes[] = {1, 7, 17, 64, 100, 256, 512, 4096};
+
+// Runs `threads` independent correlators at once, each ingesting `events`
+// in batches of `batch`, and returns their snapshots. Ingest shares no
+// mutable state between correlators beyond the thread-safe path interner,
+// so every snapshot must equal the serial one whatever the thread count.
+std::vector<std::string> ConcurrentBatchedSnapshots(const std::vector<IngestEvent>& events,
+                                                    size_t batch, int threads) {
+  std::vector<std::string> snapshots(static_cast<size_t>(threads));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&events, &snapshots, batch, t] {
+      Correlator batched(ChurnParams());
+      ApplyBatched(&batched, events, batch);
+      snapshots[static_cast<size_t>(t)] = batched.EncodeSnapshot();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  return snapshots;
+}
+
+TEST(IngestEquivalence, BatchedMatchesSerialAcrossThreadCounts) {
+  const std::vector<IngestEvent> events = RandomTrace(0xA11CE, 3000);
+
+  Correlator serial(ChurnParams());
+  ApplySerial(&serial, events);
+  const std::string want = serial.EncodeSnapshot();
+
+  for (const int threads : {1, 2, 4, 8}) {
+    const std::vector<std::string> got = ConcurrentBatchedSnapshots(events, 256, threads);
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(want, got[t]) << "threads=" << threads << " worker=" << t;
+    }
+  }
+}
 
 TEST(IngestEquivalence, BatchedMatchesSerialAcrossBatchSizes) {
   for (const auto& [seed, count] : {std::pair<uint32_t, size_t>{0xA11CE, 3000},
@@ -436,6 +471,23 @@ std::vector<IngestEvent> StripeTrace(uint32_t seed, size_t count, size_t files) 
     }
   }
   return events;
+}
+
+// The 640-file stripe trace (2.5 stripes, long runs between the other
+// event kinds) ingested by 1-8 correlators at once, one batch each.
+TEST(IngestEquivalence, StripeShardedFoldMatchesSerialAcrossThreadCounts) {
+  const std::vector<IngestEvent> events = StripeTrace(0x57121BE, 4000, 640);
+
+  Correlator serial(ChurnParams());
+  ApplySerial(&serial, events);
+  const std::string want = serial.EncodeSnapshot();
+
+  for (const int threads : {1, 2, 4, 8}) {
+    const std::vector<std::string> got = ConcurrentBatchedSnapshots(events, 4096, threads);
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(want, got[t]) << "threads=" << threads << " worker=" << t;
+    }
+  }
 }
 
 TEST(IngestEquivalence, StripeShardedFoldAcrossBatchSizesAndSeeds) {
