@@ -98,6 +98,16 @@ void Correlator::OnProcessFork(Pid parent, Pid child) { streams_.OnFork(parent, 
 
 void Correlator::OnProcessExit(Pid pid) { streams_.OnExit(pid); }
 
+template <typename Flip>
+void Correlator::FlipFiles(std::initializer_list<FileId> ids, Flip flip) {
+  flip();
+  for (const FileId id : ids) {
+    if (id != kInvalidFileId) {
+      relations_.MarkSetChanged(id);
+    }
+  }
+}
+
 void Correlator::OnFileDeleted(PathId path, Time /*time*/) {
   const FileId id = files_.Find(path);
   if (id == kInvalidFileId) {
@@ -105,14 +115,14 @@ void Correlator::OnFileDeleted(PathId path, Time /*time*/) {
   }
   // Deletion is soft; relationship data survives for a grace period in
   // case the name is immediately reused (Section 4.8). Entries whose grace
-  // period has now expired are purged for real.
-  for (const FileId expired : files_.MarkDeleted(id, params_.delete_delay)) {
-    relations_.Purge(expired);
-  }
-  // The mark flips liveness without touching any relation list: every list
-  // naming this file just lost a live member, so stamp them for the
-  // incremental recluster.
-  relations_.MarkSetChanged(id);
+  // period has now expired are purged for real. The mark flips liveness
+  // without touching any relation list: every list naming this file just
+  // lost a live member.
+  FlipFiles({id}, [&] {
+    for (const FileId expired : files_.MarkDeleted(id, params_.delete_delay)) {
+      relations_.Purge(expired);
+    }
+  });
 }
 
 void Correlator::OnFileRenamed(PathId from, PathId to, Time /*time*/) {
@@ -123,13 +133,10 @@ void Correlator::OnFileRenamed(PathId from, PathId to, Time /*time*/) {
     return;
   }
   const FileId replaced = files_.Find(to);
-  files_.RenameFile(id, to);
   // The pathname feeds directory distance; a replaced target record flips
   // liveness. Both dirty the file and every list naming it.
-  relations_.MarkSetChanged(id);
-  if (replaced != kInvalidFileId && replaced != id) {
-    relations_.MarkSetChanged(replaced);
-  }
+  FlipFiles({id, replaced != id ? replaced : kInvalidFileId},
+            [&] { files_.RenameFile(id, to); });
 }
 
 void Correlator::OnFileExcluded(PathId path) {
@@ -137,8 +144,7 @@ void Correlator::OnFileExcluded(PathId path) {
   if (id == kInvalidFileId) {
     return;
   }
-  files_.MarkExcluded(id);
-  relations_.MarkSetChanged(id);
+  FlipFiles({id}, [&] { files_.MarkExcluded(id); });
   relations_.Purge(id);
 }
 

@@ -20,6 +20,7 @@
 #ifndef SRC_CORE_CORRELATOR_H_
 #define SRC_CORE_CORRELATOR_H_
 
+#include <initializer_list>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -210,6 +211,14 @@ class Correlator : public ReferenceSink {
 
  private:
   static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotV1(std::string_view bytes);
+
+  // Runs `flip`, a FileTable change to the liveness or pathname of `ids`,
+  // then stamps each valid id with RelationTable::MarkSetChanged. Every
+  // such change goes through here, so no flip goes unstamped: the stamps
+  // feed the incremental recluster and drop the rejection summary of
+  // every row naming the file, which assumes that row has no dead entry.
+  template <typename Flip>
+  void FlipFiles(std::initializer_list<FileId> ids, Flip flip);
 
   SeerParams params_;
   FileTable files_;

@@ -35,6 +35,31 @@ double Neighbor::MeanDistance(MeanKind kind) const {
 RelationTable::RelationTable(const SeerParams& params, const FileTable* files, uint64_t seed)
     : params_(params), files_(files), cap_(params.max_neighbors), rng_(seed) {
   RefreshTieKey();
+  BuildDistanceTerms();
+}
+
+void RelationTable::OverrideParams(SeerParams params) {
+  params.max_neighbors = params_.max_neighbors;
+  params_ = params;
+  BuildDistanceTerms();
+  std::fill(row_summary_.begin(), row_summary_.end(), RowSummary{});
+  // Cached means were computed under the old mean kind.
+  std::fill(nb_mean_upd_.begin(), nb_mean_upd_.end(), kMeanStampInvalid);
+}
+
+void RelationTable::BuildDistanceTerms() {
+  // The same calls, on the same inputs, that the fold would make per
+  // observation, so a tabled term is bit-identical to a computed one.
+  // Capped so that a huge horizon (M comes from a params file or a live
+  // `params set`) cannot size the table; distances past the cap compute
+  // their terms.
+  const int horizon = std::clamp(params_.distance_horizon, 0, kMaxTabledDistance);
+  terms_.assign(static_cast<size_t>(horizon) + 1, DistanceTerm{});
+  for (int k = 0; k <= horizon; ++k) {
+    const double floored = k > 0 ? static_cast<double>(k) : params_.geometric_zero_floor;
+    terms_[k].log = std::log(floored);
+    terms_[k].mean = std::exp(terms_[k].log / 1.0);
+  }
 }
 
 void RelationTable::RefreshTieKey() {
@@ -52,6 +77,7 @@ void RelationTable::EnsureSize(FileId id) {
   if (nb_count_.size() <= id) {
     const size_t files = static_cast<size_t>(id) + 1;
     nb_count_.resize(files, 0);
+    row_summary_.resize(files);
     reverse_.resize(files);
     set_stamp_.resize(files, 0);
     stripe_stamp_.resize((files + kStripeSize - 1) >> kStripeShift, 0);
@@ -69,6 +95,7 @@ void RelationTable::EnsureSize(FileId id) {
 void RelationTable::Stamp(FileId id) {
   EnsureSize(id);
   set_stamp_[id] = ++set_change_epoch_;
+  row_summary_[id] = RowSummary{};
 }
 
 void RelationTable::StampData(FileId id) {
@@ -153,6 +180,13 @@ void RelationTable::NoteStructure(FileId from, FileId removed, FileId added) {
 
 void RelationTable::FoldObservation(FileId from, FileId to, double distance,
                                     uint64_t ordinal) {
+  // Integer distances in the table (every open-count distance up to
+  // kMaxTabledDistance) read their log term from it; others compute it.
+  const DistanceTerm* term = nullptr;
+  if (distance >= 0.0 && distance < static_cast<double>(terms_.size())) {
+    const size_t k = static_cast<size_t>(distance);
+    term = static_cast<double>(k) == distance ? &terms_[k] : nullptr;
+  }
   const double floored =
       distance > 0.0 ? distance : params_.geometric_zero_floor;
   const size_t base = static_cast<size_t>(from) * cap_;
@@ -184,17 +218,18 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance,
   }
   if (slot >= 0) {
     const size_t s = base + static_cast<size_t>(slot);
-    nb_log_[s] += std::log(floored);
+    nb_log_[s] += term != nullptr ? term->log : std::log(floored);
     nb_lin_[s] += distance;
     ++nb_obs_[s];
     // The new ordinal outruns the slot's mean stamp, so the cache line
     // goes stale with no extra store (see CachedMean).
     nb_upd_[s] = ordinal;
+    row_summary_[from] = RowSummary{};  // the slot's mean moved
     StampData(from);
     return;
   }
 
-  const double cand_log = std::log(floored);
+  const double cand_log = term != nullptr ? term->log : std::log(floored);
 
   if (count < static_cast<uint32_t>(cap_)) {
     WriteCandidate(base + count, to, cand_log, distance, ordinal);
@@ -204,6 +239,18 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance,
   }
   if (count == 0) {
     return;  // cap of zero: nothing to track
+  }
+  const double candidate_dist = params_.mean_kind == MeanKind::kArithmetic
+                                    ? distance / 1.0
+                                    : term != nullptr ? term->mean
+                                                      : std::exp(cand_log / 1.0);
+
+  // The row's last rejection still holds: no dead entry, the same means
+  // and ordinals. If the candidate is no closer than the farthest entry
+  // and nothing has aged out, every priority below rejects it too.
+  const RowSummary summary = row_summary_[from];
+  if (summary.worst <= candidate_dist && ordinal - summary.oldest <= params_.aging_updates) {
+    return;
   }
 
   // Replacement priority 1: the first neighbor marked for deletion. One
@@ -251,9 +298,6 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance,
       }
     }
   }
-  const double candidate_dist = params_.mean_kind == MeanKind::kArithmetic
-                                    ? distance / 1.0
-                                    : std::exp(cand_log / 1.0);
   if (worst_dist > candidate_dist) {
     const FileId removed = ids[worst];
     WriteCandidate(base + worst, to, cand_log, distance, ordinal);
@@ -277,7 +321,10 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance,
     const FileId removed = ids[oldest];
     WriteCandidate(base + oldest, to, cand_log, distance, ordinal);
     NoteStructure(from, removed, to);
+    return;
   }
+  // Rejected: the row is unchanged, so remember what the scans found.
+  row_summary_[from] = RowSummary{worst_dist, oldest_update};
 }
 
 RelationTable::NeighborRange RelationTable::NeighborsOf(FileId from) const {
@@ -522,6 +569,8 @@ size_t RelationTable::MemoryBytes() const {
                  nb_upd_.capacity() * sizeof(uint64_t) + nb_mean_.capacity() * sizeof(double) +
                  nb_mean_upd_.capacity() * sizeof(uint64_t) +
                  nb_count_.capacity() * sizeof(uint32_t) +
+                 row_summary_.capacity() * sizeof(RowSummary) +
+                 terms_.capacity() * sizeof(DistanceTerm) +
                  reverse_.capacity() * sizeof(std::vector<FileId>) +
                  set_stamp_.capacity() * sizeof(uint64_t) +
                  stripe_stamp_.capacity() * sizeof(uint64_t);

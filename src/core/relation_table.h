@@ -24,6 +24,7 @@
 #define SRC_CORE_RELATION_TABLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/file_table.h"
@@ -106,11 +107,9 @@ class RelationTable {
   // Live-tuning override (`params set` against a running service): swaps
   // in the new aging/distance knobs but pins max_neighbors to the value
   // the slab was built with — cap_ bakes the stripe geometry, so changing
-  // it takes a snapshot round-trip, not an override.
-  void OverrideParams(SeerParams params) {
-    params.max_neighbors = params_.max_neighbors;
-    params_ = params;
-  }
+  // it takes a snapshot round-trip, not an override. Rebuilds the distance
+  // terms and drops every rejection summary and cached mean.
+  void OverrideParams(SeerParams params);
 
   // Records an observation `distance` for the ordered pair (from -> to).
   void Observe(FileId from, FileId to, double distance);
@@ -157,7 +156,10 @@ class RelationTable {
   const std::vector<FileId>& ReverseNeighborsOf(FileId id) const;
 
   // Records that `id`'s liveness or pathname changed: stamps `id` and every
-  // reverse neighbor (their live sets changed too).
+  // reverse neighbor (their live sets changed too). Every deletion mark on a
+  // file must be followed by this call before the next fold: the stamps also
+  // drop the reverse owners' rejection summaries, which assume no dead
+  // entry in their rows. Correlator::FlipFiles pairs the two.
   void MarkSetChanged(FileId id);
 
   // Approximate bytes used, for the Section 5.3 memory accounting bench.
@@ -225,7 +227,29 @@ class RelationTable {
  private:
   friend class NeighborRange;
 
+  // log(floored(k)) and the matching single-observation geometric mean
+  // exp(log / 1.0), tabled for integer distances k in
+  // [0, min(M, kMaxTabledDistance)].
+  static constexpr int kMaxTabledDistance = 1024;
+  struct DistanceTerm {
+    double log = 0.0;
+    double mean = 0.0;
+  };
+
+  // What the last rejected fold on a full row learned about it: the
+  // largest entry mean and the oldest entry ordinal. The row is unchanged
+  // until the next Stamp or hit fold, so a later miss whose candidate is
+  // no closer than `worst` and whose ordinal has not aged `oldest` out is
+  // rejected by the full path too. A NaN `worst` marks no summary: no
+  // comparison with NaN holds, so such a row always takes the full path.
+  struct RowSummary {
+    double worst = std::numeric_limits<double>::quiet_NaN();
+    uint64_t oldest = 0;
+  };
+
+  void BuildDistanceTerms();
   void EnsureSize(FileId id);
+  // Stamps a set change on `id` and drops its rejection summary.
   void Stamp(FileId id);
   void StampData(FileId id);
   void RevAdd(FileId owner, FileId neighbor);
@@ -280,6 +304,8 @@ class RelationTable {
   std::vector<double> nb_mean_;      // lazy mean cache (see CachedMean)
   std::vector<uint64_t> nb_mean_upd_;  // nb_upd_ value the cache line is for
   std::vector<uint32_t> nb_count_;
+  std::vector<RowSummary> row_summary_;  // per file, see RowSummary
+  std::vector<DistanceTerm> terms_;      // indexed by integer distance
 
   // reverse_[id] = files whose lists contain id. Maintained by every list
   // mutation; an id appears at most once per owner (lists are id-unique).

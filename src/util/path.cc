@@ -1,5 +1,7 @@
 #include "src/util/path.h"
 
+#include <cstring>
+
 namespace seer {
 
 std::vector<std::string> SplitPath(std::string_view path) {
@@ -21,35 +23,52 @@ std::vector<std::string> SplitPath(std::string_view path) {
 }
 
 std::string NormalizePath(std::string_view path) {
+  // One pass over a copy of the input, compacting it in place: each kept
+  // component moves down to the write position `len`, "." and empty
+  // components are skipped, and ".." truncates back to the previous
+  // separator. Writes never pass the read position, and in a canonical
+  // path every component is already where it belongs, so that costs one
+  // copy and no per-component strings.
+  std::string out(path);
+  char* const buf = out.data();
   const bool absolute = !path.empty() && path.front() == '/';
-  std::vector<std::string> stack;
-  for (auto& part : SplitPath(path)) {
-    if (part == ".") {
+  const size_t root = absolute ? 1 : 0;  // ".." never truncates below this
+  size_t len = root;
+  size_t start = 0;
+  while (start < path.size()) {
+    size_t end = path.find('/', start);
+    if (end == std::string_view::npos) {
+      end = path.size();
+    }
+    const std::string_view part = path.substr(start, end - start);
+    const size_t from = start;
+    start = end + 1;
+    if (part.empty() || part == ".") {
       continue;
     }
     if (part == "..") {
-      if (!stack.empty() && stack.back() != "..") {
-        stack.pop_back();
-      } else if (!absolute) {
-        stack.push_back("..");
+      const std::string_view kept(buf, len);
+      const size_t sep = kept.rfind('/');
+      const size_t last = sep == std::string_view::npos ? 0 : sep + 1;
+      if (len > root && kept.substr(last) != "..") {
+        len = last > root ? last - 1 : root;
+        continue;
       }
-      // ".." at the root of an absolute path is dropped.
-      continue;
+      if (absolute) {
+        continue;  // ".." at the root of an absolute path is dropped.
+      }
     }
-    stack.push_back(std::move(part));
-  }
-  std::string out;
-  if (absolute) {
-    out = "/";
-  }
-  for (size_t i = 0; i < stack.size(); ++i) {
-    if (i > 0) {
-      out += '/';
+    if (len > root) {
+      buf[len++] = '/';
     }
-    out += stack[i];
+    if (len != from) {
+      std::memcpy(buf + len, part.data(), part.size());
+    }
+    len += part.size();
   }
+  out.resize(len);
   if (out.empty()) {
-    out = absolute ? "/" : ".";
+    out.push_back('.');
   }
   return out;
 }

@@ -5,6 +5,8 @@
 // severity-0 failures.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/sim/live_sim.h"
 #include "src/sim/machine_sim.h"
 
@@ -155,6 +157,60 @@ TEST(Integration, PartialHoardPolicyRuns) {
   config.allow_partial_projects = true;
   const LiveSimResult r = RunLiveUsage(p, config);
   EXPECT_EQ(r.disconnections.size(), 8u);
+}
+
+// A golden Figure 2 row: machine A, daily periods, 14 days, seed 977, with
+// every PeriodStats field exactly as the fold produced it before the fold's
+// fast paths (rejection summaries, tabled distance terms) existed. Those
+// paths must be exact, so any change to them that moves a figure fails
+// here, not only in the benchmark's digest.
+TEST(Integration, Figure2GoldenRowMachineA) {
+  MissFreeSimConfig config;
+  config.seed = 977;
+  config.days_override = 14;
+  const MissFreeSimResult r = RunMissFreeSimulation(GetMachineProfile('A'), config);
+  const std::vector<PeriodStats> golden = {
+      {0x1.5f2ffp+2, 0x1.a22e7cp+3, 0x1.d0add8p+3, 0x0p+0, 42, 0, 0, "/usr/include/sys4.h",
+       "/usr/include/sys4.h"},
+      {0x1.f00f18p+1, 0x1.003597p+4, 0x1.02046ep+4, 0x0p+0, 33, 0, 0, "/usr/include/sys19.h",
+       "/usr/include/sys19.h"},
+      {0x1.62b7dcp+2, 0x1.e5d3fep+3, 0x1.02c046p+4, 0x0p+0, 38, 0, 0, "/home/a/proj2/mod7.o",
+       "/usr/include/sys14.h"},
+      {0x1.0e97c8p+2, 0x1.a366b8p+3, 0x1.2d457p+2, 0x0p+0, 35, 0, 0, "/home/a/proj2/prog",
+       "/bin/ls"},
+      {0x1.5427dp+2, 0x1.003597p+4, 0x1.0511aep+4, 0x0p+0, 37, 0, 0, "/home/a/proj1/mod7.o",
+       "/usr/include/sys15.h"},
+      {0x1.61d894p+2, 0x1.ba066cp+3, 0x1.55ca7ap+3, 0x0p+0, 39, 0, 0, "/home/a/mail/folder2",
+       "/home/a/mail/folder2"},
+      {0x1.72c488p+2, 0x1.aa09bcp+3, 0x1.5cbcfap+3, 0x0p+0, 40, 0, 0, "/home/a/mail/folder1",
+       "/home/a/mail/folder1"},
+      {0x1.1bf974p+2, 0x1.c40304p+3, 0x1.ccf4d2p+3, 0x0p+0, 32, 0, 0, "/usr/include/sys12.h",
+       "/usr/include/sys8.h"},
+      {0x1.916a64p+2, 0x1.c40304p+3, 0x1.c8048ap+3, 0x0p+0, 59, 0, 0, "/home/a/proj2/mod7.o",
+       "/home/a/doc/paper2.refs"},
+      {0x1.3a449cp+2, 0x1.aa0c56p+3, 0x1.72527cp+3, 0x0p+0, 34, 0, 0, "/var/spool/mail/a",
+       "/home/a/mail/folder0"},
+      {0x1.5018bp+2, 0x1.003597p+4, 0x1.0954f6p+4, 0x0p+0, 36, 0, 0, "/home/a/proj3/mod7.o",
+       "/home/a/proj3/Makefile"},
+      {0x1.847688p+2, 0x1.003597p+4, 0x1.0964c6p+4, 0x0p+0, 57, 0, 0, "/usr/include/sys9.h",
+       "/home/a/proj3/NOTES"},
+      {0x1.679d2p+2, 0x1.a2b132p+3, 0x1.09a58ep+4, 0x0p+0, 59, 0, 0, "/usr/include/sys2.h",
+       "/home/a/proj3/README"},
+  };
+  ASSERT_EQ(r.periods.size(), golden.size());
+  for (size_t i = 0; i < golden.size(); ++i) {
+    const PeriodStats& got = r.periods[i];
+    const PeriodStats& want = golden[i];
+    EXPECT_EQ(got.working_set_mb, want.working_set_mb) << "period " << i;
+    EXPECT_EQ(got.seer_mb, want.seer_mb) << "period " << i;
+    EXPECT_EQ(got.lru_mb, want.lru_mb) << "period " << i;
+    EXPECT_EQ(got.coda_mb, want.coda_mb) << "period " << i;
+    EXPECT_EQ(got.referenced_files, want.referenced_files) << "period " << i;
+    EXPECT_EQ(got.uncovered_seer, want.uncovered_seer) << "period " << i;
+    EXPECT_EQ(got.uncovered_lru, want.uncovered_lru) << "period " << i;
+    EXPECT_EQ(got.deepest_seer, want.deepest_seer) << "period " << i;
+    EXPECT_EQ(got.deepest_lru, want.deepest_lru) << "period " << i;
+  }
 }
 
 TEST(Integration, DeterministicAcrossRuns) {

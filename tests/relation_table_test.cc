@@ -2,9 +2,16 @@
 // geometric-mean reduction and the three-level replacement priority.
 #include "src/core/relation_table.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/correlator.h"
 
 namespace seer {
 namespace {
@@ -278,6 +285,244 @@ TEST(RelationTable, RenameStormStampsAllReverseOwners) {
   h.table().CollectChangedSince(epoch, &changed);
   ASSERT_EQ(changed.size(), 1u);
   EXPECT_EQ(changed[0], fresh);
+}
+
+// --- rejection summaries ------------------------------------------------------
+//
+// A fold rejected on a full row caches the row's largest mean and oldest
+// ordinal so later misses can reject without rescanning. Each test below
+// first leaves `a` holding such a summary, then changes something the
+// summary depends on and checks that the next fold decides as the full
+// replacement path would.
+
+// Fills `a` with three neighbors and rejects one far candidate, so the row
+// holds a valid summary. Returns the three neighbor ids.
+std::vector<FileId> FillAndReject(RelationHarness& h, FileId a,
+                                  std::vector<double> distances = {1.0, 5.0, 9.0}) {
+  std::vector<FileId> nbs;
+  for (size_t i = 0; i < distances.size(); ++i) {
+    nbs.push_back(h.Id("nb" + std::to_string(i)));
+    h.table().Observe(a, nbs.back(), distances[i]);
+  }
+  const FileId reject = h.Id("reject");
+  h.table().Observe(a, reject, 50.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, reject), 0.0) << "setup: candidate must be rejected";
+  return nbs;
+}
+
+// Integer distances read their log term and candidate mean from a table;
+// both must be bit-identical to the computed values, or a candidate tying
+// the farthest entry would replace it instead of being rejected.
+TEST(RelationTable, TabledCandidateTiesFarthestEntryExactly) {
+  RelationHarness h;
+  const FileId a = h.Id("a");
+  for (const char* nb : {"n1", "n2", "n3"}) {
+    h.table().Observe(a, h.Id(nb), 7.0);
+  }
+  const FileId tie = h.Id("tie");
+  h.table().Observe(a, tie, 7.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, tie), 0.0) << "a tie is not closer";
+  EXPECT_EQ(h.table().DistanceOrNegative(a, h.Id("n1")), std::exp(std::log(7.0)));
+}
+
+TEST(RelationTable, SummaryDroppedWhenNeighborMarkedDeleted) {
+  RelationHarness h;
+  const FileId a = h.Id("a");
+  const std::vector<FileId> nbs = FillAndReject(h, a);
+
+  // The closest neighbor dies; the correlator reports every liveness flip.
+  h.files().MarkDeleted(nbs[0], /*delete_delay=*/1000);
+  h.table().MarkSetChanged(nbs[0]);
+
+  const FileId fresh = h.Id("fresh");
+  h.table().Observe(a, fresh, 50.0);  // farther than everything: priority 1 only
+  EXPECT_GT(h.table().DistanceOrNegative(a, fresh), 0.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, nbs[0]), 0.0);
+  EXPECT_GT(h.table().DistanceOrNegative(a, nbs[2]), 0.0) << "farthest entry kept";
+}
+
+TEST(RelationTable, SummaryHonorsAgingAsOrdinalsAdvance) {
+  SeerParams p = RelationHarness::MakeParams();
+  p.aging_updates = 10;
+  RelationHarness h(p);
+  const FileId a = h.Id("a");
+  const std::vector<FileId> nbs = FillAndReject(h, a);
+
+  // Updates elsewhere age every entry of `a` without touching its row.
+  const FileId busy = h.Id("busy");
+  const FileId targets[] = {h.Id("t0"), h.Id("t1")};
+  for (int i = 0; i < 20; ++i) {
+    h.table().Observe(busy, targets[i % 2], 1.0);
+  }
+  const FileId newer = h.Id("newer");
+  h.table().Observe(a, newer, 50.0);
+  EXPECT_GT(h.table().DistanceOrNegative(a, newer), 0.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, nbs[0]), 0.0) << "oldest entry aged out";
+}
+
+TEST(RelationTable, SummaryDroppedWhenAgingLowered) {
+  RelationHarness h;  // default aging_updates: nothing ages
+  const FileId a = h.Id("a");
+  const std::vector<FileId> nbs = FillAndReject(h, a);
+  const FileId busy = h.Id("busy");
+  const FileId targets[] = {h.Id("t0"), h.Id("t1")};
+  for (int i = 0; i < 5; ++i) {
+    h.table().Observe(busy, targets[i % 2], 1.0);
+  }
+
+  SeerParams lowered = h.params();
+  lowered.aging_updates = 2;
+  h.table().OverrideParams(lowered);
+  const FileId newer = h.Id("newer");
+  h.table().Observe(a, newer, 50.0);
+  EXPECT_GT(h.table().DistanceOrNegative(a, newer), 0.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, nbs[0]), 0.0) << "oldest entry aged out";
+}
+
+TEST(RelationTable, SummaryDroppedWhenMeanKindSwitched) {
+  RelationHarness h;
+  const FileId a = h.Id("a");
+  const FileId x = h.Id("x");
+  h.table().Observe(a, x, 1.0);
+  h.table().Observe(a, x, 100.0);  // geometric mean 10, arithmetic 50.5
+  h.table().Observe(a, h.Id("n1"), 5.0);
+  h.table().Observe(a, h.Id("n2"), 5.0);
+  const FileId first = h.Id("first");
+  h.table().Observe(a, first, 20.0);  // geometric worst 10: rejected
+  ASSERT_LT(h.table().DistanceOrNegative(a, first), 0.0);
+
+  SeerParams arithmetic = h.params();
+  arithmetic.mean_kind = MeanKind::kArithmetic;
+  h.table().OverrideParams(arithmetic);
+  const FileId second = h.Id("second");
+  h.table().Observe(a, second, 20.0);  // arithmetic worst 50.5: replaces x
+  EXPECT_GT(h.table().DistanceOrNegative(a, second), 0.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, x), 0.0);
+}
+
+TEST(RelationTable, SummaryDroppedWhenHitFoldRaisesMean) {
+  RelationHarness h;
+  const FileId a = h.Id("a");
+  const std::vector<FileId> nbs = FillAndReject(h, a, {2.0, 3.0, 3.0});
+
+  // Folds push nb0's geometric mean from 2 to about 44.7.
+  h.table().Observe(a, nbs[0], 1000.0);
+  ASSERT_GT(h.table().DistanceOrNegative(a, nbs[0]), 40.0);
+
+  const FileId closer = h.Id("closer");
+  h.table().Observe(a, closer, 10.0);
+  EXPECT_GT(h.table().DistanceOrNegative(a, closer), 0.0);
+  EXPECT_LT(h.table().DistanceOrNegative(a, nbs[0]), 0.0) << "farthest entry replaced";
+}
+
+TEST(RelationTable, MemoryBytesCountsRowSummaries) {
+  RelationHarness h;
+  const size_t before = h.table().MemoryBytes();
+  constexpr size_t kFiles = 1000;
+  FileId last = h.Id("mem0");
+  for (size_t i = 1; i < kFiles; ++i) {
+    last = h.Id("mem" + std::to_string(i));
+  }
+  h.table().MarkSetChanged(last);  // sizes every per-file array at once
+  // Slab stripe: id, log/linear sums, observations, ordinal, mean cache
+  // and its stamp.
+  const size_t per_file_slab =
+      static_cast<size_t>(h.table().max_neighbors()) *
+      (sizeof(FileId) + 3 * sizeof(double) + sizeof(uint32_t) + 2 * sizeof(uint64_t));
+  // Entry count, reverse index, set stamp, and the rejection summary
+  // (largest mean + oldest ordinal).
+  const size_t per_file_rows = sizeof(uint32_t) + sizeof(std::vector<FileId>) +
+                               sizeof(uint64_t) + sizeof(double) + sizeof(uint64_t);
+  EXPECT_GE(h.table().MemoryBytes() - before, kFiles * (per_file_slab + per_file_rows));
+}
+
+// M arrives from a params file or a live `params set`, so it can be huge.
+// The distance-term table is capped; distances past the cap compute their
+// terms and fold the same as before.
+TEST(RelationTable, HugeHorizonKeepsDistanceTableSmall) {
+  SeerParams p = RelationHarness::MakeParams();
+  p.distance_horizon = 2000000000;
+  RelationHarness h(p);
+  EXPECT_LT(h.table().MemoryBytes(), size_t{1} << 20);
+  h.table().OverrideParams(p);
+  EXPECT_LT(h.table().MemoryBytes(), size_t{1} << 20);
+
+  const FileId a = h.Id("a");
+  const FileId b = h.Id("b");
+  const FileId c = h.Id("c");
+  h.table().Observe(a, b, 5000.0);
+  h.table().Observe(a, b, 20.0);
+  h.table().Observe(a, c, 3.0);
+  EXPECT_EQ(h.table().DistanceOrNegative(a, b), std::exp((std::log(5000.0) + std::log(20.0)) / 2));
+  EXPECT_EQ(h.table().DistanceOrNegative(a, c), std::exp(std::log(3.0) / 1));
+}
+
+// Randomized trace over a small universe with deletes, renames and
+// exclusions, tuned so that full rows, rejections and every replacement
+// priority are common.
+std::vector<IngestEvent> ChurnTrace(uint32_t seed, size_t count) {
+  std::mt19937 rng(seed);
+  std::vector<IngestEvent> events;
+  Time time = 0;
+  int next_rename = 0;
+  auto path = [&]() { return GlobalPaths().Intern("/rs/f" + std::to_string(rng() % 48)); };
+  for (size_t i = 0; i < count; ++i) {
+    time += kMicrosPerSecond / 4;
+    IngestEvent e;
+    const uint32_t roll = rng() % 100;
+    if (roll < 93) {
+      e.kind = IngestEvent::Kind::kReference;
+      e.ref.pid = 1 + rng() % 3;
+      const uint32_t kind_roll = rng() % 10;
+      e.ref.kind = kind_roll < 4 ? RefKind::kBegin : kind_roll < 7 ? RefKind::kEnd : RefKind::kPoint;
+      e.ref.path = path();
+      e.ref.time = time;
+    } else if (roll < 96) {
+      e.kind = IngestEvent::Kind::kDeleted;
+      e.path = path();
+      e.time = time;
+    } else if (roll < 99) {
+      e.kind = IngestEvent::Kind::kRenamed;
+      e.path = path();
+      e.path2 = rng() % 2 == 0 ? path()
+                               : GlobalPaths().Intern("/rs/moved" + std::to_string(next_rename++));
+      e.time = time;
+    } else {
+      e.kind = IngestEvent::Kind::kExcluded;
+      e.path = path();
+    }
+    events.push_back(e);
+  }
+  return events;
+}
+
+// A correlator that round-trips through its snapshot every k events starts
+// each stretch with every rejection summary cold; one that never does keeps
+// them warm. Summaries are exact, so the two must stay byte-identical.
+TEST(RelationTable, WarmSummariesMatchColdAfterSnapshotRoundTrips) {
+  SeerParams p;
+  p.max_neighbors = 4;
+  p.distance_horizon = 20;
+  p.delete_delay = 3;
+  p.aging_updates = 300;
+  for (const uint32_t seed : {1u, 2u, 3u}) {
+    const std::vector<IngestEvent> events = ChurnTrace(seed, 6000);
+    for (const size_t k : {37u, 500u}) {
+      Correlator warm(p);
+      std::unique_ptr<Correlator> cold = std::make_unique<Correlator>(p);
+      for (size_t i = 0; i < events.size(); i += k) {
+        const size_t n = std::min(k, events.size() - i);
+        warm.IngestBatch(events.data() + i, n);
+        cold->IngestBatch(events.data() + i, n);
+        const std::string bytes = cold->EncodeSnapshot();
+        ASSERT_EQ(warm.EncodeSnapshot(), bytes) << "seed " << seed << " k " << k << " at " << i;
+        auto decoded = Correlator::DecodeSnapshot(bytes);
+        ASSERT_TRUE(decoded.ok());
+        cold = std::move(decoded).value();
+      }
+      EXPECT_EQ(warm.EncodeSnapshot(), cold->EncodeSnapshot()) << "seed " << seed << " k " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,76 @@ TEST(Path, NormalizeCollapsesAndResolves) {
 TEST(Path, NormalizeIsIdempotent) {
   for (const char* p : {"/a/b/../c", "a/./b", "/x//y/z/..", "/", "..", "a/.."}) {
     EXPECT_EQ(NormalizePath(NormalizePath(p)), NormalizePath(p)) << p;
+  }
+}
+
+TEST(Path, CanonicalInputsComeBackUnchanged) {
+  for (const char* p : {"/", "/a/b", "a/b", "/a/.../b", "/.hidden/x", "a", "/a"}) {
+    EXPECT_EQ(NormalizePath(p), p) << p;
+  }
+}
+
+TEST(Path, NonCanonicalInputsStillNormalize) {
+  EXPECT_EQ(NormalizePath("//a"), "/a");
+  EXPECT_EQ(NormalizePath("/a/"), "/a");
+  EXPECT_EQ(NormalizePath("a/./b"), "a/b");
+  EXPECT_EQ(NormalizePath("a/.."), ".");
+  EXPECT_EQ(NormalizePath("../a"), "../a");
+  EXPECT_EQ(NormalizePath("."), ".");
+  EXPECT_EQ(NormalizePath(""), ".");
+  EXPECT_EQ(NormalizePath("/a//b/"), "/a/b");
+  EXPECT_EQ(NormalizePath("/.."), "/");
+  EXPECT_EQ(NormalizePath("a/../.."), "..");
+}
+
+// Split-and-stack reference normalizer, independent of the library's.
+std::string ReferenceNormalize(const std::string& path) {
+  const bool absolute = !path.empty() && path[0] == '/';
+  std::vector<std::string> stack;
+  size_t start = 0;
+  while (start <= path.size()) {
+    size_t end = path.find('/', start);
+    if (end == std::string::npos) {
+      end = path.size();
+    }
+    const std::string part = path.substr(start, end - start);
+    start = end + 1;
+    if (part.empty() || part == ".") {
+      continue;
+    }
+    if (part == "..") {
+      if (!stack.empty() && stack.back() != "..") {
+        stack.pop_back();
+      } else if (!absolute) {
+        stack.push_back(part);
+      }
+      continue;
+    }
+    stack.push_back(part);
+  }
+  std::string out = absolute ? "/" : "";
+  for (size_t i = 0; i < stack.size(); ++i) {
+    out += (i > 0 ? "/" : "") + stack[i];
+  }
+  return out.empty() ? "." : out;
+}
+
+TEST(Path, NormalizeMatchesReferenceOnRandomCorpus) {
+  const char* const kParts[] = {"a", ".", "..", "", "..."};
+  Rng rng(2024);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string path = rng.NextBounded(2) == 0 ? "/" : "";
+    const uint64_t parts = rng.NextBounded(6);
+    for (uint64_t i = 0; i < parts; ++i) {
+      if (i > 0) {
+        path += '/';
+      }
+      path += kParts[rng.NextBounded(5)];
+    }
+    if (rng.NextBounded(4) == 0) {
+      path += '/';
+    }
+    ASSERT_EQ(NormalizePath(path), ReferenceNormalize(path)) << '"' << path << '"';
   }
 }
 
