@@ -158,22 +158,18 @@ class Correlator : public ReferenceSink {
   size_t MemoryBytes() const;
 
   // --- persistence ------------------------------------------------------------
-  // Two formats serve two jobs:
+  // EncodeSnapshot/DecodeSnapshot — the one persisted format, the v2
+  // sectioned snapshot used by SnapshotStore (layout in snapshot_codec.h):
+  // CRC32-checksummed sections covering params, the path table, the file
+  // table (purge queue included), the relation table (RNG state included),
+  // and the live reference streams. Decoding a snapshot restores the
+  // complete learning state, so replaying the WAL on top reproduces the
+  // never-crashed correlator byte for byte. Any other input, including a
+  // retired v1 snapshot, is a typed kDataLoss.
   //
-  //  * SaveTo/LoadFrom — the versioned *text* format: greppable, diffable,
-  //    hand-editable. Per-process reference streams and the tie-break RNG
-  //    are not saved; after a reload, distance accumulation resumes with
-  //    fresh windows. This is the portable dump (`seerctl db load -o ...`).
-  //
-  //  * EncodeSnapshot/DecodeSnapshot — the *binary* crash-consistent
-  //    snapshot used by SnapshotStore: CRC32-checksummed sections covering
-  //    params, the path table, the file table (purge queue included), the
-  //    relation table (RNG state included), and the live reference
-  //    streams. Decoding a snapshot restores the complete learning state,
-  //    so replaying the WAL on top reproduces the never-crashed
-  //    correlator byte for byte.
-  void SaveTo(std::ostream& out) const;
-  static StatusOr<std::unique_ptr<Correlator>> LoadFrom(std::istream& in);
+  // DumpText writes params, files and relations as text for people and
+  // diff tools (`seerctl db dump`). It is write-only: nothing reads it.
+  void DumpText(std::ostream& out) const;
 
   std::string EncodeSnapshot() const;
   static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshot(std::string_view bytes);
@@ -196,11 +192,8 @@ class Correlator : public ReferenceSink {
   SealedSnapshot SealSnapshot(const SealRequest& req) const;
   SealedSnapshot SealSnapshot() const { return SealSnapshot(SealRequest()); }
 
-  // v1 single-RELS-section encoding, kept for wire-compat tests.
-  std::string EncodeSnapshotLegacyV1() const;
-
   // Decodes a base snapshot plus its delta chain (oldest first; a single
-  // full snapshot is the one-element chain). v2 relation stripes decode in
+  // full snapshot is the one-element chain). Relation stripes decode in
   // parallel on `pool` straight into the slab; nullptr decodes serially.
   static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
       const std::vector<std::string_view>& chain, ThreadPool* pool = nullptr);
@@ -210,8 +203,6 @@ class Correlator : public ReferenceSink {
   void TrimStreamRemovals(uint64_t epoch) { streams_.TrimRemovalLog(epoch); }
 
  private:
-  static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotV1(std::string_view bytes);
-
   // Runs `flip`, a FileTable change to the liveness or pathname of `ids`,
   // then stamps each valid id with RelationTable::MarkSetChanged. Every
   // such change goes through here, so no flip goes unstamped: the stamps

@@ -1,7 +1,5 @@
 #include "src/core/file_table.h"
 
-#include <algorithm>
-
 namespace seer {
 
 FileId FileTable::Lookup(PathId path) const {
@@ -127,19 +125,6 @@ FileId FileTable::RestoreRecord(const FileRecord& record) {
   }
   Touch(id);
   return id;
-}
-
-void FileTable::RebuildPurgeQueue() {
-  std::vector<FileId> deleted;
-  for (FileId id = 0; id < records_.size(); ++id) {
-    if (records_[id].deleted) {
-      deleted.push_back(id);
-    }
-  }
-  std::sort(deleted.begin(), deleted.end(), [this](FileId a, FileId b) {
-    return records_[a].deleted_at_deletion_count < records_[b].deleted_at_deletion_count;
-  });
-  pending_purge_.assign(deleted.begin(), deleted.end());
 }
 
 std::vector<FileId> FileTable::LiveIds() const {

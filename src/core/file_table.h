@@ -114,17 +114,13 @@ class FileTable {
   // --- persistence support --------------------------------------------------
 
   // Appends a fully-populated record (ids are assigned densely in call
-  // order). Used when reloading a saved database.
+  // order). Used when decoding a snapshot.
   FileId RestoreRecord(const FileRecord& record);
   void set_deletion_count(uint64_t count) { deletion_count_ = count; }
 
-  // Rebuilds the delayed-purge queue from the deleted records' marks
-  // (called once after a text-format reload). The result can differ from
-  // the live queue when a name was deleted, resurrected, and deleted again
-  // — the binary snapshot therefore carries the queue verbatim via
-  // pending_purge()/RestorePurgeQueue instead.
-  void RebuildPurgeQueue();
-
+  // The delayed-purge queue travels verbatim in snapshots: rebuilding it
+  // from the records' deletion marks can differ from the live queue when a
+  // name was deleted, resurrected, and deleted again.
   const std::deque<FileId>& pending_purge() const { return pending_purge_; }
   void RestorePurgeQueue(const std::vector<FileId>& queue) {
     pending_purge_.assign(queue.begin(), queue.end());

@@ -1,12 +1,34 @@
-// Correlator database persistence — both on-disk representations.
+// Correlator database persistence.
 //
-// Text format (SaveTo/LoadFrom): a versioned, line-oriented dump holding
-// the parameters, the file table, and the relation table. Greppable,
-// diffable, hand-editable; reference streams and the tie-break RNG are per
-// -run transient state here — after a reload, distance accumulation simply
-// resumes with fresh windows, exactly as it would after a reboot.
+// One persisted format: the v2 sectioned snapshot (layout in
+// snapshot_codec.h), written by SnapshotStore, DurableCorrelator and the
+// multi-tenant router. It captures the COMPLETE learning state — the
+// purge queue verbatim, the relation table's RNG, and the live reference
+// streams — so snapshot + WAL replay reproduces the never-crashed
+// correlator bit for bit. Doubles travel as raw IEEE-754 bits; every
+// section is CRC-checked so a torn write is a typed kDataLoss, never a
+// half-loaded database.
 //
-//   SEERDB 1
+// DumpText writes a human-readable listing of the same state for people
+// and diff tools. Nothing reads it back.
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <map>
+#include <ostream>
+
+#include "src/core/correlator.h"
+#include "src/core/params_io.h"
+#include "src/trace/trace_io.h"
+#include "src/util/bytes.h"
+
+namespace seer {
+
+using namespace snapshot_internal;  // NOLINT(build/namespaces)
+
+// --- text dump -----------------------------------------------------------------
+//
+//   # seer correlator dump
 //   params <n-lines>
 //   <FormatSeerParams() body>
 //   files <count> <deletion-count> <global-ref-seq>
@@ -14,110 +36,14 @@
 //       <deleted> <excluded> <deleted-at>        (one line per record)
 //   relations <update-count>
 //   list <from> <entries>
-//   <to> <log-sum> <linear-sum> <observations> <last-update>
+//   <to> <log-sum> <linear-sum> <observations> <last-update>   (hex floats)
 //   end
-//
-// Binary snapshot (EncodeSnapshot/DecodeSnapshot): the crash-consistent
-// checkpoint format used by SnapshotStore. Fixed little-endian layout:
-//
-//   magic "SEERSNP1"
-//   sections, in order PRMS PATH FILE RELS STRM END!; each section is
-//     u32 tag | u64 payload-size | u32 crc32(payload) | payload
-//
-// Unlike the text dump this captures the COMPLETE learning state — the
-// purge queue verbatim, the relation table's RNG, and the live reference
-// streams — so snapshot + WAL replay reproduces the never-crashed
-// correlator bit for bit. Doubles travel as raw IEEE-754 bits (no text
-// round-trip at all); every section is CRC-checked so a torn write is a
-// typed kDataLoss, never a half-loaded database.
-#include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <istream>
-#include <map>
-#include <ostream>
-#include <sstream>
 
-#include "src/core/correlator.h"
-#include "src/core/params_io.h"
-#include "src/trace/trace_io.h"
-#include "src/util/bytes.h"
-#include "src/util/crc32.h"
-
-namespace seer {
-
-namespace {
-
-constexpr int kFormatVersion = 1;
-
-std::vector<std::string> SplitWords(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string word;
-  while (in >> word) {
-    out.push_back(word);
-  }
-  return out;
-}
-
-template <typename T>
-bool ParseWord(const std::string& word, T* out) {
-  const auto [ptr, ec] = std::from_chars(word.data(), word.data() + word.size(), *out);
-  return ec == std::errc() && ptr == word.data() + word.size();
-}
-
-// Floating-point fields: from_chars only (locale-independent by
-// construction — a host locale that renders decimals as "1,5" can neither
-// produce nor accept our files), the whole word must be consumed, and the
-// value must be finite. from_chars happily parses "nan" and "inf", but no
-// finite accumulator sum can legitimately be either: accepting a NaN here
-// would poison every mean distance computed from the record, so both are
-// rejected as corruption.
-bool ParseWord(const std::string& word, double* out) {
-  // Accepts both decimal and the "%a" hex-float form ("0x1.8p+1"), which
-  // from_chars parses only without the 0x prefix.
-  std::string_view s(word);
-  bool negative = false;
-  if (!s.empty() && s.front() == '-') {
-    negative = true;
-    s.remove_prefix(1);
-  }
-  if (!s.empty() && (s.front() == '-' || s.front() == '+')) {
-    return false;  // "--3" must not double-negate its way in
-  }
-  std::from_chars_result r{};
-  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
-    s.remove_prefix(2);
-    r = std::from_chars(s.data(), s.data() + s.size(), *out, std::chars_format::hex);
-  } else {
-    r = std::from_chars(s.data(), s.data() + s.size(), *out);
-  }
-  if (r.ec != std::errc() || r.ptr != s.data() + s.size()) {
-    return false;
-  }
-  if (!std::isfinite(*out)) {
-    return false;
-  }
-  if (negative) {
-    *out = -*out;
-  }
-  return true;
-}
-
-}  // namespace
-
-// --- text format -------------------------------------------------------------
-
-void Correlator::SaveTo(std::ostream& out) const {
-  out << "SEERDB " << kFormatVersion << '\n';
+void Correlator::DumpText(std::ostream& out) const {
+  out << "# seer correlator dump\n";
 
   const std::string params_text = FormatSeerParams(params_);
-  size_t param_lines = 0;
-  for (const char c : params_text) {
-    if (c == '\n') {
-      ++param_lines;
-    }
-  }
+  const auto param_lines = std::count(params_text.begin(), params_text.end(), '\n');
   out << "params " << param_lines << '\n' << params_text;
 
   out << "files " << files_.size() << ' ' << files_.deletion_count() << ' ' << global_ref_seq_
@@ -138,7 +64,6 @@ void Correlator::SaveTo(std::ostream& out) const {
     }
     out << "list " << id << ' ' << neighbors.size() << '\n';
     for (const Neighbor& nb : neighbors) {
-      // Hex float round-trips exactly through from_chars.
       char log_buf[64];
       char lin_buf[64];
       std::snprintf(log_buf, sizeof(log_buf), "%a", nb.log_sum);
@@ -150,416 +75,11 @@ void Correlator::SaveTo(std::ostream& out) const {
   out << "end\n";
 }
 
-StatusOr<std::unique_ptr<Correlator>> Correlator::LoadFrom(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty stream");
-  }
-  int version = 0;
-  {
-    const auto words = SplitWords(line);
-    if (words.size() != 2 || words[0] != "SEERDB" || !ParseWord(words[1], &version) ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("bad header: " + line);
-    }
-  }
-
-  // --- params ---------------------------------------------------------------
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("truncated before params");
-  }
-  size_t param_lines = 0;
-  {
-    const auto words = SplitWords(line);
-    if (words.size() != 2 || words[0] != "params" || !ParseWord(words[1], &param_lines)) {
-      return Status::InvalidArgument("bad params header: " + line);
-    }
-  }
-  std::string params_text;
-  for (size_t i = 0; i < param_lines; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::InvalidArgument("truncated inside params");
-    }
-    params_text += line;
-    params_text += '\n';
-  }
-  const auto params = ParseSeerParams(params_text);
-  if (!params.ok()) {
-    return Status::InvalidArgument("bad params: " + params.status().message());
-  }
-
-  auto correlator = std::make_unique<Correlator>(*params);
-
-  // --- files -----------------------------------------------------------------
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("truncated before files");
-  }
-  size_t file_count = 0;
-  uint64_t deletion_count = 0;
-  {
-    const auto words = SplitWords(line);
-    if (words.size() != 4 || words[0] != "files" || !ParseWord(words[1], &file_count) ||
-        !ParseWord(words[2], &deletion_count) ||
-        !ParseWord(words[3], &correlator->global_ref_seq_)) {
-      return Status::InvalidArgument("bad files header: " + line);
-    }
-  }
-  for (size_t i = 0; i < file_count; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::InvalidArgument("truncated inside files");
-    }
-    const auto words = SplitWords(line);
-    FileRecord rec;
-    int deleted = 0;
-    int excluded = 0;
-    if (words.size() != 7 || !ParseWord(words[1], &rec.last_ref_time) ||
-        !ParseWord(words[2], &rec.last_ref_seq) || !ParseWord(words[3], &rec.ref_count) ||
-        !ParseWord(words[4], &deleted) || !ParseWord(words[5], &excluded) ||
-        !ParseWord(words[6], &rec.deleted_at_deletion_count)) {
-      return Status::InvalidArgument("bad file record: " + line);
-    }
-    rec.path =
-        words[0] == "-" ? kInvalidPathId : GlobalPaths().Intern(UnescapePath(words[0]));
-    rec.deleted = deleted != 0;
-    rec.excluded = excluded != 0;
-    correlator->files_.RestoreRecord(rec);
-  }
-  correlator->files_.set_deletion_count(deletion_count);
-  correlator->files_.RebuildPurgeQueue();
-
-  // --- relations ---------------------------------------------------------------
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("truncated before relations");
-  }
-  uint64_t update_count = 0;
-  {
-    const auto words = SplitWords(line);
-    if (words.size() != 2 || words[0] != "relations" || !ParseWord(words[1], &update_count)) {
-      return Status::InvalidArgument("bad relations header: " + line);
-    }
-  }
-  while (std::getline(in, line)) {
-    if (line == "end") {
-      correlator->relations_.set_update_count(update_count);
-      return correlator;
-    }
-    const auto words = SplitWords(line);
-    FileId from = 0;
-    size_t entries = 0;
-    if (words.size() != 3 || words[0] != "list" || !ParseWord(words[1], &from) ||
-        !ParseWord(words[2], &entries) || from >= correlator->files_.size()) {
-      return Status::InvalidArgument("bad list header: " + line);
-    }
-    std::vector<Neighbor> neighbors;
-    neighbors.reserve(entries);
-    for (size_t i = 0; i < entries; ++i) {
-      if (!std::getline(in, line)) {
-        return Status::InvalidArgument("truncated inside list");
-      }
-      const auto nb_words = SplitWords(line);
-      Neighbor nb;
-      if (nb_words.size() != 5 || !ParseWord(nb_words[0], &nb.id) ||
-          !ParseWord(nb_words[1], &nb.log_sum) || !ParseWord(nb_words[2], &nb.linear_sum) ||
-          !ParseWord(nb_words[3], &nb.observations) || !ParseWord(nb_words[4], &nb.last_update) ||
-          nb.id >= correlator->files_.size()) {
-        return Status::InvalidArgument("bad neighbor record: " + line);
-      }
-      neighbors.push_back(nb);
-    }
-    correlator->relations_.RestoreList(from, std::move(neighbors));
-  }
-  return Status::InvalidArgument("missing end marker");
-}
-
-// --- binary snapshot ---------------------------------------------------------
-//
-// Framing helpers and tags live in snapshot_codec.h (shared with the v2
-// sectioned codec and the store's deep verify).
-
-namespace {
-
-using namespace snapshot_internal;  // NOLINT(build/namespaces)
-
-constexpr std::string_view kSnapshotMagic = kMagicV1;
-
-}  // namespace
-
-std::string Correlator::EncodeSnapshotLegacyV1() const {
-  // Path table: every distinct live spelling referenced by a file record,
-  // indexed densely in record order.
-  std::vector<std::string_view> paths;
-  std::vector<uint32_t> record_path_index(files_.size(), kNoPath);
-  for (FileId id = 0; id < files_.size(); ++id) {
-    const FileRecord& rec = files_.Get(id);
-    if (rec.path == kInvalidPathId) {
-      continue;
-    }
-    record_path_index[id] = static_cast<uint32_t>(paths.size());
-    paths.push_back(GlobalPaths().PathOf(rec.path));
-  }
-
-  ByteWriter params;
-  params.PutString(FormatSeerParams(params_));
-
-  ByteWriter path_table;
-  path_table.PutU32(static_cast<uint32_t>(paths.size()));
-  for (const std::string_view p : paths) {
-    path_table.PutString(p);
-  }
-
-  ByteWriter file_table;
-  file_table.PutU64(files_.size());
-  file_table.PutU64(files_.deletion_count());
-  file_table.PutU64(global_ref_seq_);
-  file_table.PutU64(references_processed_);
-  for (FileId id = 0; id < files_.size(); ++id) {
-    const FileRecord& rec = files_.Get(id);
-    file_table.PutU32(record_path_index[id]);
-    file_table.PutI64(rec.last_ref_time);
-    file_table.PutU64(rec.last_ref_seq);
-    file_table.PutU64(rec.ref_count);
-    file_table.PutU8(static_cast<uint8_t>((rec.deleted ? 1 : 0) | (rec.excluded ? 2 : 0)));
-    file_table.PutU64(rec.deleted_at_deletion_count);
-  }
-  const auto& purge = files_.pending_purge();
-  file_table.PutU32(static_cast<uint32_t>(purge.size()));
-  for (const FileId id : purge) {
-    file_table.PutU32(id);
-  }
-
-  ByteWriter relations;
-  relations.PutU64(relations_.update_count());
-  uint64_t rng_state[4];
-  relations_.GetRngState(rng_state);
-  for (const uint64_t s : rng_state) {
-    relations.PutU64(s);
-  }
-  uint32_t list_count = 0;
-  for (FileId id = 0; id < files_.size(); ++id) {
-    if (!relations_.NeighborsOf(id).empty()) {
-      ++list_count;
-    }
-  }
-  relations.PutU32(list_count);
-  for (FileId id = 0; id < files_.size(); ++id) {
-    const auto& neighbors = relations_.NeighborsOf(id);
-    if (neighbors.empty()) {
-      continue;
-    }
-    relations.PutU32(id);
-    relations.PutU32(static_cast<uint32_t>(neighbors.size()));
-    for (const Neighbor& nb : neighbors) {
-      relations.PutU32(nb.id);
-      relations.PutDouble(nb.log_sum);
-      relations.PutDouble(nb.linear_sum);
-      relations.PutU32(nb.observations);
-      relations.PutU64(nb.last_update);
-    }
-  }
-
-  ByteWriter streams;
-  const auto exported = streams_.Export();
-  streams.PutU32(static_cast<uint32_t>(exported.size()));
-  for (const auto& s : exported) {
-    streams.PutI32(s.pid);
-    streams.PutI32(s.parent);
-    streams.PutU64(s.open_counter);
-    streams.PutU64(s.ref_counter);
-    streams.PutU32(static_cast<uint32_t>(s.files.size()));
-    for (const auto& f : s.files) {
-      streams.PutU32(f.file);
-      streams.PutU64(f.last_open_index);
-      streams.PutU64(f.last_ref_index);
-      streams.PutI64(f.last_open_time);
-      streams.PutU32(f.open_nesting);
-      streams.PutU8(f.compensated ? 1 : 0);
-    }
-    streams.PutU32(static_cast<uint32_t>(s.window.size()));
-    for (const auto& [file, idx] : s.window) {
-      streams.PutU32(file);
-      streams.PutU64(idx);
-    }
-  }
-
-  ByteWriter out;
-  out.PutBytes(kSnapshotMagic);
-  PutSection(&out, kTagParams, params.data());
-  PutSection(&out, kTagPaths, path_table.data());
-  PutSection(&out, kTagFiles, file_table.data());
-  PutSection(&out, kTagRelations, relations.data());
-  PutSection(&out, kTagStreams, streams.data());
-  PutSection(&out, kTagEnd, {});
-  return out.Take();
-}
+// --- snapshot ------------------------------------------------------------------
 
 StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshot(std::string_view bytes) {
-  if (bytes.size() >= kMagicV2.size() && bytes.substr(0, kMagicV2.size()) == kMagicV2) {
-    return DecodeSnapshotChain({bytes}, nullptr);
-  }
-  return DecodeSnapshotV1(bytes);
+  return DecodeSnapshotChain({bytes}, nullptr);
 }
-
-StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotV1(std::string_view bytes) {
-  ByteReader reader(bytes);
-  if (reader.GetBytes(kSnapshotMagic.size()) != kSnapshotMagic) {
-    return Status::DataLoss("snapshot: bad magic");
-  }
-
-  SEER_ASSIGN_OR_RETURN(const std::string_view params_bytes,
-                        GetSection(&reader, kTagParams, "params"));
-  SEER_ASSIGN_OR_RETURN(const std::string_view path_bytes,
-                        GetSection(&reader, kTagPaths, "paths"));
-  SEER_ASSIGN_OR_RETURN(const std::string_view file_bytes,
-                        GetSection(&reader, kTagFiles, "files"));
-  SEER_ASSIGN_OR_RETURN(const std::string_view rel_bytes,
-                        GetSection(&reader, kTagRelations, "relations"));
-  SEER_ASSIGN_OR_RETURN(const std::string_view stream_bytes,
-                        GetSection(&reader, kTagStreams, "streams"));
-  SEER_RETURN_IF_ERROR(GetSection(&reader, kTagEnd, "end").status());
-
-  // --- params ---------------------------------------------------------------
-  ByteReader params_reader(params_bytes);
-  const std::string_view params_text = params_reader.GetString();
-  if (!params_reader.ok()) {
-    return Status::DataLoss("snapshot: malformed params section");
-  }
-  const auto params = ParseSeerParams(params_text);
-  if (!params.ok()) {
-    return Status::DataLoss("snapshot: bad params: " + params.status().message());
-  }
-  auto correlator = std::make_unique<Correlator>(*params);
-
-  // --- paths ----------------------------------------------------------------
-  ByteReader path_reader(path_bytes);
-  const uint32_t path_count = path_reader.GetU32();
-  std::vector<PathId> path_ids;
-  path_ids.reserve(path_count);
-  for (uint32_t i = 0; i < path_count; ++i) {
-    const std::string_view p = path_reader.GetString();
-    if (!path_reader.ok()) {
-      return Status::DataLoss("snapshot: malformed path table");
-    }
-    path_ids.push_back(GlobalPaths().Intern(p));
-  }
-
-  // --- files ----------------------------------------------------------------
-  ByteReader file_reader(file_bytes);
-  const uint64_t file_count = file_reader.GetU64();
-  const uint64_t deletion_count = file_reader.GetU64();
-  correlator->global_ref_seq_ = file_reader.GetU64();
-  correlator->references_processed_ = file_reader.GetU64();
-  for (uint64_t i = 0; i < file_count; ++i) {
-    FileRecord rec;
-    const uint32_t path_index = file_reader.GetU32();
-    rec.last_ref_time = file_reader.GetI64();
-    rec.last_ref_seq = file_reader.GetU64();
-    rec.ref_count = file_reader.GetU64();
-    const uint8_t flags = file_reader.GetU8();
-    rec.deleted_at_deletion_count = file_reader.GetU64();
-    if (!file_reader.ok()) {
-      return Status::DataLoss("snapshot: truncated file record");
-    }
-    if (path_index != kNoPath && path_index >= path_ids.size()) {
-      return Status::DataLoss("snapshot: file record references unknown path");
-    }
-    rec.path = path_index == kNoPath ? kInvalidPathId : path_ids[path_index];
-    rec.deleted = (flags & 1) != 0;
-    rec.excluded = (flags & 2) != 0;
-    correlator->files_.RestoreRecord(rec);
-  }
-  correlator->files_.set_deletion_count(deletion_count);
-  const uint32_t purge_count = file_reader.GetU32();
-  std::vector<FileId> purge;
-  purge.reserve(purge_count);
-  for (uint32_t i = 0; i < purge_count; ++i) {
-    const FileId id = file_reader.GetU32();
-    if (!file_reader.ok() || id >= file_count) {
-      return Status::DataLoss("snapshot: bad purge queue entry");
-    }
-    purge.push_back(id);
-  }
-  correlator->files_.RestorePurgeQueue(purge);
-
-  // --- relations ------------------------------------------------------------
-  ByteReader rel_reader(rel_bytes);
-  correlator->relations_.set_update_count(rel_reader.GetU64());
-  uint64_t rng_state[4];
-  for (uint64_t& s : rng_state) {
-    s = rel_reader.GetU64();
-  }
-  correlator->relations_.SetRngState(rng_state);
-  const uint32_t list_count = rel_reader.GetU32();
-  for (uint32_t i = 0; i < list_count; ++i) {
-    const FileId from = rel_reader.GetU32();
-    const uint32_t entries = rel_reader.GetU32();
-    if (!rel_reader.ok() || from >= file_count) {
-      return Status::DataLoss("snapshot: bad relation list header");
-    }
-    std::vector<Neighbor> neighbors;
-    neighbors.reserve(entries);
-    for (uint32_t e = 0; e < entries; ++e) {
-      Neighbor nb;
-      nb.id = rel_reader.GetU32();
-      nb.log_sum = rel_reader.GetDouble();
-      nb.linear_sum = rel_reader.GetDouble();
-      nb.observations = rel_reader.GetU32();
-      nb.last_update = rel_reader.GetU64();
-      if (!rel_reader.ok() || nb.id >= file_count || !std::isfinite(nb.log_sum) ||
-          !std::isfinite(nb.linear_sum)) {
-        return Status::DataLoss("snapshot: bad neighbor record");
-      }
-      neighbors.push_back(nb);
-    }
-    correlator->relations_.RestoreList(from, std::move(neighbors));
-  }
-
-  // --- streams --------------------------------------------------------------
-  ByteReader stream_reader(stream_bytes);
-  const uint32_t stream_count = stream_reader.GetU32();
-  std::vector<ReferenceStreams::ExportedStream> exported;
-  exported.reserve(stream_count);
-  for (uint32_t i = 0; i < stream_count; ++i) {
-    ReferenceStreams::ExportedStream s;
-    s.pid = stream_reader.GetI32();
-    s.parent = stream_reader.GetI32();
-    s.open_counter = stream_reader.GetU64();
-    s.ref_counter = stream_reader.GetU64();
-    const uint32_t n_files = stream_reader.GetU32();
-    s.files.reserve(n_files);
-    for (uint32_t f = 0; f < n_files; ++f) {
-      ReferenceStreams::ExportedFileState st;
-      st.file = stream_reader.GetU32();
-      st.last_open_index = stream_reader.GetU64();
-      st.last_ref_index = stream_reader.GetU64();
-      st.last_open_time = stream_reader.GetI64();
-      st.open_nesting = stream_reader.GetU32();
-      st.compensated = stream_reader.GetU8() != 0;
-      if (!stream_reader.ok() || st.file >= file_count) {
-        return Status::DataLoss("snapshot: bad stream file state");
-      }
-      s.files.push_back(st);
-    }
-    const uint32_t n_window = stream_reader.GetU32();
-    s.window.reserve(n_window);
-    for (uint32_t w = 0; w < n_window; ++w) {
-      const FileId file = stream_reader.GetU32();
-      const uint64_t idx = stream_reader.GetU64();
-      if (!stream_reader.ok() || file >= file_count) {
-        return Status::DataLoss("snapshot: bad stream window entry");
-      }
-      s.window.emplace_back(file, idx);
-    }
-    exported.push_back(std::move(s));
-  }
-  if (!stream_reader.ok()) {
-    return Status::DataLoss("snapshot: truncated streams section");
-  }
-  correlator->streams_.Restore(exported);
-
-  return correlator;
-}
-
-// --- v2 checkpoint plane -----------------------------------------------------
 
 std::string Correlator::EncodeSnapshot() const {
   return EncodeSealedSnapshot(SealSnapshot(), nullptr);
@@ -614,13 +134,19 @@ Status DecodeStreamSection(std::string_view payload, uint64_t file_count,
                            std::vector<Pid>* removed,
                            std::vector<ReferenceStreams::ExportedStream>* upserts) {
   ByteReader r(payload);
+  // Every count is checked against the bytes left before it sizes an
+  // allocation, and every loop stops at the first short read.
   const uint32_t removed_count = r.GetU32();
-  removed->reserve(removed_count);
+  removed->reserve(PlausibleCount(removed_count, r.remaining(), 4));
   for (uint32_t i = 0; i < removed_count; ++i) {
-    removed->push_back(r.GetI32());
+    const Pid pid = r.GetI32();
+    if (!r.ok()) {
+      return Status::DataLoss("snapshot: truncated streams section");
+    }
+    removed->push_back(pid);
   }
   const uint32_t stream_count = r.GetU32();
-  upserts->reserve(stream_count);
+  upserts->reserve(PlausibleCount(stream_count, r.remaining(), 32));
   for (uint32_t i = 0; i < stream_count; ++i) {
     ReferenceStreams::ExportedStream s;
     s.pid = r.GetI32();
@@ -628,7 +154,10 @@ Status DecodeStreamSection(std::string_view payload, uint64_t file_count,
     s.open_counter = r.GetU64();
     s.ref_counter = r.GetU64();
     const uint32_t n_files = r.GetU32();
-    s.files.reserve(n_files);
+    if (!r.ok()) {
+      return Status::DataLoss("snapshot: truncated streams section");
+    }
+    s.files.reserve(PlausibleCount(n_files, r.remaining(), 33));
     for (uint32_t f = 0; f < n_files; ++f) {
       ReferenceStreams::ExportedFileState st;
       st.file = r.GetU32();
@@ -643,7 +172,7 @@ Status DecodeStreamSection(std::string_view payload, uint64_t file_count,
       s.files.push_back(st);
     }
     const uint32_t n_window = r.GetU32();
-    s.window.reserve(n_window);
+    s.window.reserve(PlausibleCount(n_window, r.remaining(), 12));
     for (uint32_t w = 0; w < n_window; ++w) {
       const FileId file = r.GetU32();
       const uint64_t idx = r.GetU64();
@@ -711,17 +240,6 @@ StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotChain(
   if (chain.empty()) {
     return Status::InvalidArgument("snapshot chain: empty");
   }
-  // A v1 snapshot stands alone — deltas are a v2 invention, and the store
-  // forces the first post-recovery checkpoint full, so no delta ever
-  // chains onto a v1 base.
-  if (chain[0].size() >= kMagicV1.size() &&
-      chain[0].substr(0, kMagicV1.size()) == kMagicV1) {
-    if (chain.size() != 1) {
-      return Status::DataLoss("snapshot chain: v1 snapshot cannot anchor deltas");
-    }
-    return DecodeSnapshotV1(chain[0]);
-  }
-
   struct ParsedFile {
     SnapshotMeta meta;
     const RawSection* params = nullptr;
@@ -742,9 +260,6 @@ StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotChain(
 
   for (size_t k = 0; k < chain.size(); ++k) {
     SEER_ASSIGN_OR_RETURN(parsed[k].meta, ReadSnapshotMeta(chain[k]));
-    if (parsed[k].meta.version != 2) {
-      return Status::DataLoss("snapshot chain: mixed format versions");
-    }
     if (k == 0 && parsed[k].meta.delta) {
       return Status::DataLoss("snapshot chain: starts with a delta");
     }
@@ -824,7 +339,7 @@ StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotChain(
   ByteReader path_reader(newest.paths->payload);
   const uint32_t path_count = path_reader.GetU32();
   std::vector<PathId> path_ids;
-  path_ids.reserve(path_count);
+  path_ids.reserve(PlausibleCount(path_count, path_reader.remaining(), 4));
   for (uint32_t i = 0; i < path_count; ++i) {
     const std::string_view p = path_reader.GetString();
     if (!path_reader.ok()) {
@@ -864,7 +379,7 @@ StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotChain(
   correlator->files_.set_deletion_count(deletion_count);
   const uint32_t purge_count = file_reader.GetU32();
   std::vector<FileId> purge;
-  purge.reserve(purge_count);
+  purge.reserve(PlausibleCount(purge_count, file_reader.remaining(), 4));
   for (uint32_t i = 0; i < purge_count; ++i) {
     const FileId id = file_reader.GetU32();
     if (!file_reader.ok() || id >= file_count) {

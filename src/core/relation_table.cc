@@ -444,36 +444,6 @@ void RelationTable::MarkSetChanged(FileId id) {
   }
 }
 
-void RelationTable::RestoreList(FileId from, std::vector<Neighbor> neighbors) {
-  EnsureSize(from);
-  const size_t base = static_cast<size_t>(from) * cap_;
-  const uint32_t old_count = nb_count_[from];
-  for (uint32_t i = 0; i < old_count; ++i) {
-    RevRemove(from, nb_id_[base + i]);
-  }
-  // Entries beyond the slab capacity (a hand-edited dump whose lists
-  // exceed its own n) are dropped; files written by SaveTo never have any.
-  const uint32_t count =
-      static_cast<uint32_t>(std::min(neighbors.size(), static_cast<size_t>(cap_)));
-  nb_count_[from] = count;
-  for (uint32_t i = 0; i < count; ++i) {
-    const Neighbor& nb = neighbors[i];
-    nb_id_[base + i] = nb.id;
-    nb_log_[base + i] = nb.log_sum;
-    nb_lin_[base + i] = nb.linear_sum;
-    nb_obs_[base + i] = nb.observations;
-    nb_upd_[base + i] = nb.last_update;
-    // A restored ordinal may collide with a stale mean stamp at this slot;
-    // force the cache line invalid.
-    nb_mean_upd_[base + i] = kMeanStampInvalid;
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    RevAdd(from, nb_id_[base + i]);
-  }
-  Stamp(from);
-  StampData(from);
-}
-
 void RelationTable::CopyStripes(bool full, uint64_t since_epoch, size_t file_count,
                                 std::vector<RelationStripeCopy>* out) const {
   if (file_count == 0) {

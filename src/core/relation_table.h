@@ -191,8 +191,6 @@ class RelationTable {
                    std::vector<RelationStripeCopy>* out) const;
 
   // --- persistence support --------------------------------------------------
-  void RestoreList(FileId from, std::vector<Neighbor> neighbors);
-
   // In-place parallel restore (snapshot chain decode): BeginRestore sizes
   // the slab for `file_count` files and hands back raw array pointers;
   // workers then fill disjoint stripe ranges (ids/logs/lins/obs/upds plus

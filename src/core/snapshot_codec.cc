@@ -9,29 +9,31 @@ namespace seer {
 
 namespace snapshot_internal {
 
+namespace {
+
+// The magic is "SEERSNP" plus one format digit, and only v2 is read: an
+// older digit is named in the error so an operator knows to migrate, not
+// to restore from backup.
+Status ReadMagic(ByteReader* reader) {
+  const std::string_view magic = reader->GetBytes(kMagicV2.size());
+  if (magic == kMagicV2) {
+    return Status::Ok();
+  }
+  const std::string_view family = kMagicV2.substr(0, kMagicV2.size() - 1);
+  if (magic.substr(0, family.size()) == family) {
+    return Status::DataLoss("snapshot: unsupported format " + std::string(magic) +
+                            "; only " + std::string(kMagicV2) + " is read");
+  }
+  return Status::DataLoss("snapshot: bad magic");
+}
+
+}  // namespace
+
 void PutSection(ByteWriter* out, uint32_t tag, std::string_view payload) {
   out->PutU32(tag);
   out->PutU64(payload.size());
   out->PutU32(Crc32(payload));
   out->PutBytes(payload);
-}
-
-StatusOr<std::string_view> GetSection(ByteReader* reader, uint32_t want_tag,
-                                      const char* name) {
-  const uint32_t tag = reader->GetU32();
-  const uint64_t size = reader->GetU64();
-  const uint32_t crc = reader->GetU32();
-  if (!reader->ok() || tag != want_tag) {
-    return Status::DataLoss(std::string("snapshot: bad or missing section header for ") + name);
-  }
-  if (size > reader->remaining()) {
-    return Status::DataLoss(std::string("snapshot: truncated ") + name + " section");
-  }
-  const std::string_view payload = reader->GetBytes(static_cast<size_t>(size));
-  if (!reader->ok() || Crc32(payload) != crc) {
-    return Status::DataLoss(std::string("snapshot: bad crc in ") + name + " section");
-  }
-  return payload;
 }
 
 std::string FourCc(uint32_t tag) {
@@ -47,10 +49,7 @@ std::string FourCc(uint32_t tag) {
 
 StatusOr<std::vector<RawSection>> ParseSections(std::string_view bytes) {
   ByteReader reader(bytes);
-  const std::string_view magic = reader.GetBytes(kMagicV1.size());
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    return Status::DataLoss("snapshot: bad magic");
-  }
+  SEER_RETURN_IF_ERROR(ReadMagic(&reader));
   std::vector<RawSection> sections;
   while (!reader.AtEnd()) {
     RawSection s;
@@ -221,18 +220,17 @@ std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool) {
 
 StatusOr<SnapshotMeta> ReadSnapshotMeta(std::string_view bytes) {
   ByteReader reader(bytes);
-  const std::string_view magic = reader.GetBytes(kMagicV1.size());
-  if (magic == kMagicV1) {
-    SnapshotMeta meta;
-    meta.version = 1;
-    return meta;
+  SEER_RETURN_IF_ERROR(ReadMagic(&reader));
+  RawSection section;
+  section.tag = reader.GetU32();
+  const uint64_t size = reader.GetU64();
+  section.crc = reader.GetU32();
+  if (!reader.ok() || section.tag != kTagMeta || size > reader.remaining()) {
+    return Status::DataLoss("snapshot: bad or missing meta section");
   }
-  if (magic != kMagicV2) {
-    return Status::DataLoss("snapshot: bad magic");
-  }
-  SEER_ASSIGN_OR_RETURN(const std::string_view payload,
-                        GetSection(&reader, kTagMeta, "meta"));
-  ByteReader meta_reader(payload);
+  section.payload = reader.GetBytes(static_cast<size_t>(size));
+  SEER_RETURN_IF_ERROR(CheckCrc(section, 0));
+  ByteReader meta_reader(section.payload);
   SnapshotMeta meta;
   meta.version = meta_reader.GetU32();
   meta.delta = meta_reader.GetU8() != 0;

@@ -8,15 +8,21 @@
 //   magic "SEERSNP2"
 //   META  u32 version=2 | u8 kind (0 full, 1 delta) | u64 base-generation
 //         | u64 file-count | u32 stripe-size | u32 stripe-section-count
-//   PRMS  u32 len | params text                      (same layout as v1)
-//   PATH  u32 count | (u32 len | bytes)*             (same layout as v1)
-//   FILE  v1 file-table payload (records + purge queue)
-//   RLHD  u64 update-count | 4 x u64 rng state       (v1 RELS header, split
-//                                                     out so stripes stand
-//                                                     alone)
-//   STRM  u32 removed-count | i32 pid* | u32 stream-count | v1 per-stream
-//         encoding (removed pids: processes that exited since the base —
-//         empty in a full snapshot)
+//   PRMS  u32 len | params text
+//   PATH  u32 count | (u32 len | bytes)*
+//   FILE  u64 file-count | u64 deletion-count | u64 global-ref-seq
+//         | u64 references-processed
+//         | (u32 path-index | i64 last-ref-time | u64 last-ref-seq
+//            | u64 ref-count | u8 flags | u64 deleted-at)*
+//         | u32 purge-count | u32 file-id*
+//   RLHD  u64 update-count | 4 x u64 rng state
+//   STRM  u32 removed-count | i32 pid* | u32 stream-count |
+//         (i32 pid | i32 parent | u64 open-counter | u64 ref-counter
+//          | u32 file-count | (u32 file | u64 open-idx | u64 ref-idx
+//             | i64 open-time | u32 nesting | u8 compensated)*
+//          | u32 window-count | (u32 file | u64 idx)*)*
+//         (removed pids: processes that exited since the base — empty in
+//         a full snapshot)
 //   RST0* u32 stripe-index | u32 list-count |
 //         (u32 from | u32 count | (u32 id | f64 log | f64 lin | u32 obs
 //          | u64 upd)*)*                              (ascending index; a
@@ -27,9 +33,9 @@
 //                                                     can mask its base)
 //   END!  empty
 //
-// Every section is `u32 tag | u64 size | u32 crc32(payload) | payload`,
-// identical framing to v1 — so the v1 decoder's section walk, and the
-// store's Verify, work on both generations of the format. A delta snapshot
+// Every section is `u32 tag | u64 size | u32 crc32(payload) | payload`.
+// Any other "SEERSNP" format digit (the retired v1 layout) is rejected as
+// kDataLoss naming the unsupported format. A delta snapshot
 // carries the full PRMS/PATH/FILE sections (they are small and their
 // interleaving with relation state is subtle) but only dirty relation
 // stripes and dirty/removed streams.
@@ -84,9 +90,9 @@ struct SealedSnapshot {
   uint64_t stream_epoch = 0;
 };
 
-// Parsed META section (or its v1 equivalent).
+// Parsed META section.
 struct SnapshotMeta {
-  uint32_t version = 0;          // 1 or 2
+  uint32_t version = 0;          // always 2
   bool delta = false;
   uint64_t base_generation = 0;
   uint64_t file_count = 0;
@@ -111,18 +117,17 @@ struct CheckpointStats {
 // fixed, so the output is byte-identical at any thread count.
 std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool);
 
-// Reads the version/META header of a v1 or v2 snapshot. Cheap: touches only
-// the magic and (for v2) the META section, CRC-checked.
+// Reads the META header of a snapshot. Cheap: touches only the magic and
+// the META section, CRC-checked.
 StatusOr<SnapshotMeta> ReadSnapshotMeta(std::string_view bytes);
 
-// Walks every section of a v1 or v2 snapshot verifying framing and CRCs.
+// Walks every section of a snapshot verifying framing and CRCs.
 // On corruption the status names the section (fourcc + ordinal), so a
 // deep verify can say *what* is damaged, not just that the file is.
 Status VerifySnapshotSections(std::string_view bytes);
 
 namespace snapshot_internal {
 
-constexpr std::string_view kMagicV1 = "SEERSNP1";
 constexpr std::string_view kMagicV2 = "SEERSNP2";
 
 // Section tags, as little-endian fourcc values.
@@ -136,7 +141,6 @@ constexpr uint32_t kTagMeta = Tag("META");
 constexpr uint32_t kTagParams = Tag("PRMS");
 constexpr uint32_t kTagPaths = Tag("PATH");
 constexpr uint32_t kTagFiles = Tag("FILE");
-constexpr uint32_t kTagRelations = Tag("RELS");  // v1 only
 constexpr uint32_t kTagRelHead = Tag("RLHD");
 constexpr uint32_t kTagStreams = Tag("STRM");
 constexpr uint32_t kTagStripe = Tag("RST0");
@@ -145,10 +149,6 @@ constexpr uint32_t kTagEnd = Tag("END!");
 constexpr uint32_t kNoPath = 0xffffffffu;
 
 void PutSection(ByteWriter* out, uint32_t tag, std::string_view payload);
-
-// Pulls the next section out of `reader`, verifying tag and CRC.
-StatusOr<std::string_view> GetSection(ByteReader* reader, uint32_t want_tag,
-                                      const char* name);
 
 // One section located in a buffer, framing parsed but payload NOT yet
 // CRC-verified — verification happens per consumer (in parallel for
@@ -159,7 +159,7 @@ struct RawSection {
   std::string_view payload;
 };
 
-// Splits a v1 or v2 snapshot into its sections (framing checks only).
+// Splits a snapshot into its sections (framing checks only).
 StatusOr<std::vector<RawSection>> ParseSections(std::string_view bytes);
 
 // "RST0"-style printable name for a tag.

@@ -167,6 +167,7 @@ StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams&
   SEER_ASSIGN_OR_RETURN(const std::vector<uint64_t> wals, ListWals());
 
   RecoveryResult result;
+  Status newest_error;  // why the newest discarded head failed
 
   // Newest head whose chain (nearest full + deltas) folds cleanly wins;
   // heads with torn or mislinked files are skipped. The chain decode runs
@@ -180,24 +181,27 @@ StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams&
     }
     for (size_t h = snapshots.size(); h-- > 0;) {
       std::vector<std::string> chain_bytes;
-      if (!LoadChain(snapshots, h, &chain_bytes).ok()) {
-        ++result.snapshots_discarded;
-        continue;
+      Status failure = LoadChain(snapshots, h, &chain_bytes);
+      if (failure.ok()) {
+        const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
+        auto decoded = Correlator::DecodeSnapshotChain(views, pool);
+        if (decoded.ok()) {
+          result.correlator = *std::move(decoded);
+          result.generation = snapshots[h].generation;
+          break;
+        }
+        failure = decoded.status();
       }
-      const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
-      auto decoded = Correlator::DecodeSnapshotChain(views, pool);
-      if (!decoded.ok()) {
-        ++result.snapshots_discarded;
-        continue;
+      ++result.snapshots_discarded;
+      if (newest_error.ok()) {
+        newest_error = std::move(failure);
       }
-      result.correlator = *std::move(decoded);
-      result.generation = snapshots[h].generation;
-      break;
     }
   }
   if (result.correlator == nullptr) {
     if (!snapshots.empty()) {
-      return Status::DataLoss("every snapshot in " + dir_ + " is damaged");
+      return Status::DataLoss("every snapshot in " + dir_ + " is damaged (newest: " +
+                              newest_error.message() + ")");
     }
     if (!wals.empty()) {
       // A WAL is only created after its snapshot is durable, so WALs with

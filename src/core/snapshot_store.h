@@ -2,9 +2,10 @@
 //
 // A store directory holds numbered snapshot/WAL generations:
 //
-//   snap-000007.seersnap   full binary snapshot (v1 or v2 sectioned)
+//   snap-000007.seersnap   full snapshot (the v2 sectioned format, the
+//                          only one read; see snapshot_codec.h)
 //   delta-000008.seersnap  delta snapshot: only relation stripes/streams
-//                          touched since generation 7 (v2 only)
+//                          touched since generation 7
 //   wal-000008.seerwal     sink events observed after generation 8
 //
 // Checkpointing writes snapshot N+1 via the atomic-commit protocol (temp

@@ -62,14 +62,6 @@ TenantStats GetStats(ByteReader* r) {
   return s;
 }
 
-// Caps a decoded count by what the remaining bytes could possibly hold,
-// so a corrupt count cannot trigger a huge allocation before the
-// bounds-checked reads fail.
-size_t PlausibleCount(uint32_t count, size_t remaining, size_t min_record_bytes) {
-  const size_t most = remaining / min_record_bytes;
-  return count <= most ? count : most + 1;
-}
-
 }  // namespace
 
 std::string_view ControlVerbName(ControlVerb verb) {

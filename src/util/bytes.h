@@ -116,6 +116,15 @@ class ByteReader {
   bool ok_ = true;
 };
 
+// Caps a decoded count by what the remaining bytes could possibly hold, so
+// a corrupt count cannot trigger a huge allocation before the
+// bounds-checked reads fail. Use it for every reserve() sized by a count
+// read off the wire or the disk.
+inline size_t PlausibleCount(uint32_t count, size_t remaining, size_t min_record_bytes) {
+  const size_t most = remaining / min_record_bytes;
+  return count <= most ? count : most + 1;
+}
+
 }  // namespace seer
 
 #endif  // SRC_UTIL_BYTES_H_

@@ -1,7 +1,8 @@
-// Tests for the stall-free checkpoint plane: versioned section format (v1
-// compat, v2 framing), thread-count-invariant parallel encode, delta
-// chain recovery byte-equality against the serial full path, async
-// begin/finish checkpointing, and per-section damage diagnosis.
+// Tests for the stall-free checkpoint plane: the v2 section format (and
+// the typed rejection of the retired v1 one), thread-count-invariant
+// parallel encode, delta chain recovery byte-equality against the serial
+// full path, async begin/finish checkpointing, and per-section damage
+// diagnosis.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -71,19 +72,37 @@ void FeedRandomEvents(ReferenceSink* sink, std::mt19937* rng, int events, Time* 
 
 // --- format compatibility ---------------------------------------------------
 
-TEST(CheckpointPlane, V1SnapshotStillDecodes) {
+// The retired v1 format is recognised by its magic and refused with a
+// typed kDataLoss naming it, by every entry point that reads a snapshot.
+TEST(CheckpointPlane, V1SnapshotIsUnsupported) {
   Correlator original;
   Time t = 0;
   std::mt19937 rng(7);
   FeedRandomEvents(&original, &rng, 400, &t);
 
-  const std::string v1 = original.EncodeSnapshotLegacyV1();
-  ASSERT_EQ(v1.substr(0, 8), "SEERSNP1");
-  const auto decoded = Correlator::DecodeSnapshot(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  // The state a v1 snapshot restores re-encodes (v2) exactly like the
-  // original state does: nothing was lost or invented in translation.
-  EXPECT_EQ((*decoded)->EncodeSnapshot(), original.EncodeSnapshot());
+  std::string v1 = original.EncodeSnapshot();
+  ASSERT_EQ(v1.substr(0, 8), "SEERSNP2");
+  v1[7] = '1';
+  const std::string named = "unsupported format " + v1.substr(0, 8);
+  const auto expect_unsupported = [&](const Status& status, const char* entry) {
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << entry;
+    EXPECT_NE(status.message().find(named), std::string::npos)
+        << entry << ": " << status.message();
+  };
+  expect_unsupported(Correlator::DecodeSnapshot(v1).status(), "DecodeSnapshot");
+  expect_unsupported(Correlator::DecodeSnapshotChain({v1}).status(), "DecodeSnapshotChain");
+  expect_unsupported(ReadSnapshotMeta(v1).status(), "ReadSnapshotMeta");
+  expect_unsupported(VerifySnapshotSections(v1), "VerifySnapshotSections");
+
+  // A store holding only a v1 snapshot does not recover, and says why.
+  const std::string dir = ScratchDir("v1_store");
+  RealFs fs;
+  ASSERT_TRUE(fs.MakeDirs(dir).ok());
+  SnapshotStore store(&fs, dir);
+  ASSERT_TRUE(store.WriteSnapshotBytes(v1, 1, /*delta=*/false).ok());
+  const auto recovered = store.Recover();
+  ASSERT_FALSE(recovered.ok());
+  expect_unsupported(recovered.status(), "Recover");
 }
 
 TEST(CheckpointPlane, V2FullRoundTripsByteIdentically) {
@@ -125,10 +144,6 @@ TEST(CheckpointPlane, MetaDescribesTheSnapshot) {
   EXPECT_EQ(meta->version, 2u);
   EXPECT_FALSE(meta->delta);
   EXPECT_EQ(meta->file_count, correlator.files().size());
-
-  const auto v1_meta = ReadSnapshotMeta(correlator.EncodeSnapshotLegacyV1());
-  ASSERT_TRUE(v1_meta.ok()) << v1_meta.status();
-  EXPECT_EQ(v1_meta->version, 1u);
 }
 
 // --- delta chains vs the serial full path -----------------------------------

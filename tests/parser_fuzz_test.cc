@@ -1,6 +1,7 @@
-// Robustness fuzzing for every textual input surface: the trace format,
-// the control file, the parameter file, and the persisted database. None
-// of them may crash, hang, or accept-and-corrupt on arbitrary bytes.
+// Robustness fuzzing for every input surface: the trace format, the
+// control file, the parameter file, the wire codecs, and the persisted
+// snapshot. None of them may crash, hang, or accept-and-corrupt on
+// arbitrary bytes.
 #include <algorithm>
 #include <sstream>
 #include <string_view>
@@ -10,10 +11,12 @@
 
 #include "src/core/correlator.h"
 #include "src/core/params_io.h"
+#include "src/core/snapshot_codec.h"
 #include "src/observer/control_file.h"
 #include "src/server/wire.h"
 #include "src/trace/trace_io.h"
 #include "src/util/rng.h"
+#include "tests/snapshot_surgery.h"
 
 namespace seer {
 namespace {
@@ -29,7 +32,7 @@ std::string RandomText(Rng* rng, size_t max_len) {
       out += '\n';
     } else if (roll < 95) {
       // Format-relevant tokens, to get past the first parse stages.
-      const char* tokens[] = {"SEERDB",  "files",  "list", "end",   "params",
+      const char* tokens[] = {"transient", "files",  "list", "end",   "params",
                               "open",    "ok",     "-",    "0x1.8p+1", "meaningless",
                               "critical", "kn",    "42",   "-7",    "relations"};
       out += tokens[rng->NextBounded(15)];
@@ -45,6 +48,42 @@ class ParserFuzz : public ::testing::TestWithParam<int> {
  protected:
   uint64_t Seed() const { return static_cast<uint64_t>(GetParam()) * 48271 + 11; }
 };
+
+// The snapshot of a small correlator that fills every section: two
+// projects, live processes with open files, a fork and exit, and a
+// pending purge.
+std::string FuzzSnapshot() {
+  Correlator correlator;
+  for (int i = 0; i < 60; ++i) {
+    FileReference ref;
+    ref.pid = 1 + i % 2;
+    ref.kind = i % 5 == 0 ? RefKind::kBegin : RefKind::kPoint;
+    ref.path = GlobalPaths().Intern("/m" + std::to_string(i % 2) + "/f" + std::to_string(i % 9));
+    ref.time = i + 1;
+    correlator.OnReference(ref);
+  }
+  correlator.OnProcessFork(1, 7);
+  correlator.OnProcessExit(7);
+  correlator.OnFileDeleted(GlobalPaths().Intern("/m0/f8"), 61);
+  return correlator.EncodeSnapshot();
+}
+
+// The contract for hostile snapshot bytes: a typed error with a message,
+// or a correlator whose clusters are well-formed.
+void ExpectUsableOrRejected(const StatusOr<std::unique_ptr<Correlator>>& loaded) {
+  if (!loaded.ok()) {
+    EXPECT_FALSE(loaded.status().message().empty());
+    return;
+  }
+  const Correlator& correlator = **loaded;
+  const ClusterSet clusters = correlator.BuildClusters();
+  for (const Cluster& c : clusters.clusters) {
+    EXPECT_FALSE(c.members.empty());
+    for (const FileId id : c.members) {
+      EXPECT_LT(id, correlator.files().size());
+    }
+  }
+}
 
 TEST_P(ParserFuzz, TraceLinesNeverCrash) {
   Rng rng(Seed());
@@ -90,50 +129,89 @@ TEST_P(ParserFuzz, ParamsFileNeverCrashes) {
   }
 }
 
+// A snapshot built from shuffled pieces of a valid one: sections dropped,
+// duplicated, swapped, or swapped for random payloads under real tags,
+// sometimes with unframed bytes after them. The decoder must reject or
+// accept — never crash or throw.
 TEST_P(ParserFuzz, DatabaseLoaderNeverCrashes) {
+  const std::string valid = FuzzSnapshot();
+  const auto parsed = snapshot_internal::ParseSections(valid);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  std::vector<std::pair<uint32_t, std::string>> original;
+  for (const auto& section : *parsed) {
+    original.emplace_back(section.tag, std::string(section.payload));
+  }
+
   Rng rng(Seed() ^ 3);
   for (int i = 0; i < 200; ++i) {
-    std::istringstream in(RandomText(&rng, 500));
-    const auto loaded = Correlator::LoadFrom(in);
-    if (!loaded.ok()) {
-      EXPECT_FALSE(loaded.status().message().empty());
+    auto sections = original;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int e = 0; e < edits && !sections.empty(); ++e) {
+      const size_t at = rng.NextBounded(sections.size());
+      switch (rng.NextBounded(4)) {
+        case 0:
+          sections.erase(sections.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+        case 1:
+          sections.insert(sections.begin() + static_cast<std::ptrdiff_t>(
+                                                 rng.NextBounded(sections.size() + 1)),
+                          sections[at]);
+          break;
+        case 2:
+          std::swap(sections[at], sections[rng.NextBounded(sections.size())]);
+          break;
+        default:
+          sections[at].second = RandomText(&rng, 64);
+          break;
+      }
     }
+    ByteWriter out;
+    out.PutBytes(snapshot_internal::kMagicV2);
+    for (const auto& [tag, payload] : sections) {
+      snapshot_internal::PutSection(&out, tag, payload);
+    }
+    if (rng.NextBounded(8) == 0) {
+      out.PutBytes(RandomText(&rng, 32));
+    }
+    ExpectUsableOrRejected(Correlator::DecodeSnapshot(out.data()));
   }
 }
 
-// Mutate a VALID database at random positions: the loader must either
-// reject it or produce a structurally sound correlator (never crash).
+// Mutate bytes inside the section payloads of a VALID snapshot and re-seal
+// every CRC, so the mutations reach the section decoders. Half the
+// mutations overwrite a 32-bit field (often a section's leading count)
+// with a boundary value. The decoder must either reject the snapshot with
+// a typed error or produce a structurally sound correlator — never crash
+// or throw.
 TEST_P(ParserFuzz, MutatedDatabaseHandled) {
-  Correlator original;
-  for (int i = 0; i < 60; ++i) {
-    FileReference ref;
-    ref.pid = 1;
-    ref.kind = RefKind::kPoint;
-    ref.path = GlobalPaths().Intern("/m/f" + std::to_string(i % 9));
-    ref.time = i + 1;
-    original.OnReference(ref);
-  }
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const std::string valid = buffer.str();
+  const std::string valid = FuzzSnapshot();
+  const auto parsed = snapshot_internal::ParseSections(valid);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const size_t section_count = parsed->size();
+  const uint32_t boundary[] = {0, 1, 0x7fffffffu, 0x80000000u, 0xffffffffu};
 
   Rng rng(Seed() ^ 4);
-  for (int i = 0; i < 100; ++i) {
-    std::string mutated = valid;
-    const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
-    for (int m = 0; m < mutations; ++m) {
-      mutated[rng.NextBounded(mutated.size())] =
-          static_cast<char>(' ' + rng.NextBounded(95));
-    }
-    std::istringstream in(mutated);
-    const auto loaded = Correlator::LoadFrom(in);
-    if (loaded.ok()) {
-      // Accepted: must still be usable.
-      const ClusterSet clusters = (*loaded)->BuildClusters();
-      for (const Cluster& c : clusters.clusters) {
-        EXPECT_FALSE(c.members.empty());
-      }
-    }
+  for (int i = 0; i < 400; ++i) {
+    const size_t target = rng.NextBounded(section_count);
+    const std::string mutated =
+        ResealSections(valid, [&](size_t ordinal, uint32_t, std::string* payload) {
+          if (ordinal != target || payload->size() < 4) {
+            return;
+          }
+          const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
+          for (int m = 0; m < mutations; ++m) {
+            if (rng.NextBounded(2) == 0) {
+              (*payload)[rng.NextBounded(payload->size())] =
+                  static_cast<char>(rng.NextBounded(256));
+            } else {
+              const size_t at =
+                  rng.NextBounded(4) == 0 ? 0 : rng.NextBounded(payload->size() - 3);
+              PutU32At(payload, at, boundary[rng.NextBounded(5)]);
+            }
+          }
+        });
+    ASSERT_FALSE(mutated.empty());
+    ExpectUsableOrRejected(Correlator::DecodeSnapshot(mutated));
   }
 }
 

@@ -1,13 +1,23 @@
-// Tests for the correlator database save/load format.
+// Tests for the persisted correlator database: the v2 snapshot round trip
+// (EncodeSnapshot/DecodeSnapshot) and its rejection of damaged or hostile
+// input.
+#include <bit>
 #include <cmath>
-#include <sstream>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/core/correlator.h"
+#include "tests/snapshot_surgery.h"
 
 namespace seer {
 namespace {
+
+using snapshot_internal::kTagFiles;
+using snapshot_internal::kTagPaths;
+using snapshot_internal::kTagStreams;
+using snapshot_internal::kTagStripe;
 
 PathId P(std::string_view path) { return GlobalPaths().Intern(path); }
 
@@ -35,6 +45,12 @@ void Populate(Correlator* correlator) {
   correlator->OnFileDeleted(P("/p0/f5"), t);
 }
 
+std::unique_ptr<Correlator> RoundTrip(const Correlator& original) {
+  auto decoded = Correlator::DecodeSnapshot(original.EncodeSnapshot());
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  return decoded.ok() ? *std::move(decoded) : nullptr;
+}
+
 TEST(Persistence, SaveLoadRoundTrip) {
   SeerParams params;
   params.max_neighbors = 12;
@@ -43,12 +59,8 @@ TEST(Persistence, SaveLoadRoundTrip) {
   Correlator original(params);
   Populate(&original);
 
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-
-  const auto result = Correlator::LoadFrom(buffer);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const auto& loaded = *result;
+  const auto loaded = RoundTrip(original);
+  ASSERT_NE(loaded, nullptr);
 
   // Same parameters.
   EXPECT_EQ(loaded->params().max_neighbors, 12);
@@ -64,7 +76,7 @@ TEST(Persistence, SaveLoadRoundTrip) {
   for (int f = 1; f < 5; ++f) {
     const std::string from = "/p0/f0";
     const std::string to = "/p0/f" + std::to_string(f);
-    EXPECT_DOUBLE_EQ(loaded->Distance(from, to), original.Distance(from, to)) << to;
+    EXPECT_EQ(loaded->Distance(from, to), original.Distance(from, to)) << to;
   }
 
   // Identical clustering.
@@ -74,16 +86,31 @@ TEST(Persistence, SaveLoadRoundTrip) {
   for (size_t i = 0; i < a.clusters.size(); ++i) {
     EXPECT_EQ(a.clusters[i].members, b.clusters[i].members) << i;
   }
+  EXPECT_EQ(loaded->EncodeSnapshot(), original.EncodeSnapshot());
+}
+
+// The name dates from the text format, which spelled doubles as hex
+// floats; the v2 snapshot stores raw IEEE-754 bits, and the same awkward
+// distances must still come back bit-exact.
+TEST(Persistence, HexFloatExactness) {
+  Correlator original;
+  // Distances with awkward log values.
+  for (int i = 0; i < 50; ++i) {
+    original.OnReference(Ref(1, RefKind::kPoint, "/a", i * 2 + 1));
+    original.OnReference(Ref(1, RefKind::kPoint, "/b", i * 2 + 2));
+  }
+  const auto loaded = RoundTrip(original);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->Distance("/a", "/b"), original.Distance("/a", "/b"))
+      << "snapshot serialisation must be bit-exact";
+  EXPECT_EQ(loaded->EncodeSnapshot(), original.EncodeSnapshot());
 }
 
 TEST(Persistence, LoadedCorrelatorKeepsLearning) {
   Correlator original;
   Populate(&original);
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const auto result = Correlator::LoadFrom(buffer);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const auto& loaded = *result;
+  const auto loaded = RoundTrip(original);
+  ASSERT_NE(loaded, nullptr);
 
   // New references extend the old database; the global sequence resumes
   // past the saved point so recency ordering stays monotone.
@@ -92,6 +119,7 @@ TEST(Persistence, LoadedCorrelatorKeepsLearning) {
   EXPECT_GT(loaded->files().Get(loaded->files().FindPath("/p0/f0")).last_ref_seq, before);
   loaded->OnReference(Ref(1, RefKind::kPoint, "/p0/new", 1000 * kMicrosPerSecond));
   EXPECT_NE(loaded->files().FindPath("/p0/new"), kInvalidFileId);
+  EXPECT_GE(loaded->Distance("/p0/f0", "/p0/new"), 0.0);
 }
 
 TEST(Persistence, DeletionDelayResumesAfterLoad) {
@@ -100,15 +128,13 @@ TEST(Persistence, DeletionDelayResumesAfterLoad) {
   Correlator original(params);
   Populate(&original);  // one deletion recorded
 
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const auto result = Correlator::LoadFrom(buffer);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const auto& loaded = *result;
+  const auto loaded = RoundTrip(original);
+  ASSERT_NE(loaded, nullptr);
 
   // Two more deletions expire /p0/f5's grace period in the LOADED instance.
   loaded->OnReference(Ref(1, RefKind::kPoint, "/x1", 1));
   loaded->OnFileDeleted(P("/x1"), 2);
+  EXPECT_GE(loaded->Distance("/p0/f0", "/p0/f5"), 0.0) << "one deletion is within the delay";
   loaded->OnReference(Ref(1, RefKind::kPoint, "/x2", 3));
   loaded->OnFileDeleted(P("/x2"), 4);
   EXPECT_LT(loaded->Distance("/p0/f0", "/p0/f5"), 0.0)
@@ -116,109 +142,139 @@ TEST(Persistence, DeletionDelayResumesAfterLoad) {
 }
 
 TEST(Persistence, PathsWithSpacesSurvive) {
+  // Spaces, control characters, UTF-8 and a raw non-UTF-8 byte: the
+  // snapshot stores paths as length-prefixed bytes, so none needs escaping.
+  const std::string paths[] = {"/docs/My Report.doc", "/docs/line\nbreak",
+                               "/docs/tab\there",     "/docs/r\xc3\xa9sum\xc3\xa9.txt",
+                               "/docs/raw\xff byte",  "/docs/back\\slash"};
   Correlator original;
-  original.OnReference(Ref(1, RefKind::kPoint, "/docs/My Report.doc", 1));
-  original.OnReference(Ref(1, RefKind::kPoint, "/docs/figure one.fig", 2));
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const auto loaded = Correlator::LoadFrom(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_NE((*loaded)->files().FindPath("/docs/My Report.doc"), kInvalidFileId);
-  EXPECT_GE((*loaded)->Distance("/docs/My Report.doc", "/docs/figure one.fig"), 0.0);
+  Time t = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& path : paths) {
+      original.OnReference(Ref(1, RefKind::kPoint, path, ++t));
+    }
+  }
+  const auto loaded = RoundTrip(original);
+  ASSERT_NE(loaded, nullptr);
+  for (const std::string& path : paths) {
+    EXPECT_NE(loaded->files().FindPath(path), kInvalidFileId) << path;
+    EXPECT_EQ(loaded->Distance(paths[0], path), original.Distance(paths[0], path)) << path;
+  }
+  EXPECT_GE(loaded->Distance(paths[0], paths[1]), 0.0);
+  EXPECT_EQ(loaded->EncodeSnapshot(), original.EncodeSnapshot());
 }
 
 TEST(Persistence, RejectsGarbage) {
-  {
-    std::stringstream s("not a database\n");
-    const auto loaded = Correlator::LoadFrom(s);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(loaded.status().message().find("header"), std::string::npos);
-  }
-  {
-    std::stringstream s("SEERDB 99\n");
-    EXPECT_FALSE(Correlator::LoadFrom(s).ok());
-  }
-  {
-    std::stringstream s;  // empty
-    EXPECT_FALSE(Correlator::LoadFrom(s).ok());
+  Correlator valid;
+  Populate(&valid);
+  const std::string magic = valid.EncodeSnapshot().substr(0, 8);
+  for (const std::string& bytes :
+       {std::string(), std::string("not a database\n"), std::string("SEERSNP"), magic,
+        magic + "garbage that is not a section"}) {
+    const auto loaded = Correlator::DecodeSnapshot(bytes);
+    ASSERT_FALSE(loaded.ok()) << '"' << bytes << '"';
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_FALSE(loaded.status().message().empty());
   }
 }
 
 TEST(Persistence, RejectsTruncation) {
   Correlator original;
   Populate(&original);
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const std::string full = buffer.str();
-
-  // Chop the file at several points; every prefix must be rejected (except
-  // none — the format ends with an explicit end marker).
-  for (const double frac : {0.2, 0.5, 0.9}) {
-    std::stringstream cut(full.substr(0, static_cast<size_t>(full.size() * frac)));
-    const auto loaded = Correlator::LoadFrom(cut);
-    EXPECT_FALSE(loaded.ok()) << frac;
-    EXPECT_FALSE(loaded.status().message().empty());
+  const std::string full = original.EncodeSnapshot();
+  // Every proper prefix is rejected: the format ends with an END! section.
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    const auto loaded = Correlator::DecodeSnapshot(std::string_view(full).substr(0, cut));
+    ASSERT_FALSE(loaded.ok()) << cut;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << cut;
   }
-}
-
-TEST(Persistence, HexFloatExactness) {
-  Correlator original;
-  // Distances with awkward log values.
-  for (int i = 0; i < 50; ++i) {
-    original.OnReference(Ref(1, RefKind::kPoint, "/a", i * 2 + 1));
-    original.OnReference(Ref(1, RefKind::kPoint, "/b", i * 2 + 2));
-  }
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  const auto loaded = Correlator::LoadFrom(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ((*loaded)->Distance("/a", "/b"), original.Distance("/a", "/b"))
-      << "hex-float serialisation must be bit-exact";
-}
-
-// Builds a minimal valid database text with one relation entry whose
-// log-sum field is `log_sum_text`.
-std::string DbWithLogSum(const std::string& log_sum_text) {
-  Correlator original;
-  original.OnReference(Ref(1, RefKind::kPoint, "/a", 1));
-  original.OnReference(Ref(1, RefKind::kPoint, "/b", 2));
-  std::stringstream buffer;
-  original.SaveTo(buffer);
-  std::string text = buffer.str();
-  // The neighbor lines are the only ones carrying hex floats; rewrite the
-  // first one's log-sum field.
-  const size_t list_pos = text.find("list ");
-  EXPECT_NE(list_pos, std::string::npos);
-  const size_t line_start = text.find('\n', list_pos) + 1;
-  const size_t field_start = text.find(' ', line_start) + 1;
-  const size_t field_end = text.find(' ', field_start);
-  return text.substr(0, field_start) + log_sum_text + text.substr(field_end);
 }
 
 TEST(Persistence, RejectsNonFiniteDistances) {
-  // from_chars happily parses "nan" and "inf", but no real accumulator sum
-  // is either — a NaN here would poison every mean distance downstream.
-  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity"}) {
-    std::stringstream in(DbWithLogSum(bad));
-    const auto loaded = Correlator::LoadFrom(in);
-    EXPECT_FALSE(loaded.ok()) << bad;
+  // A CRC-valid snapshot whose first neighbour entry carries a NaN or an
+  // infinite sum: no real accumulator is either, and a NaN would poison
+  // every mean distance downstream.
+  Correlator original;
+  original.OnReference(Ref(1, RefKind::kPoint, "/a", 1));
+  original.OnReference(Ref(1, RefKind::kPoint, "/b", 2));
+  const std::string valid = original.EncodeSnapshot();
+  // Stripe payload: u32 index | u32 lists | u32 from | u32 count | u32 id
+  // | f64 log-sum (offset 20) | f64 linear-sum (offset 28) | ...
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const size_t offset : {20u, 28u}) {
+    for (const double bad : bad_values) {
+      const std::string hostile =
+          ResealSections(valid, [&](size_t, uint32_t tag, std::string* payload) {
+            if (tag == kTagStripe) {
+              PutU64At(payload, offset, std::bit_cast<uint64_t>(bad));
+            }
+          });
+      const auto loaded = Correlator::DecodeSnapshot(hostile);
+      ASSERT_FALSE(loaded.ok()) << offset << ' ' << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    }
   }
 }
 
-TEST(Persistence, RejectsPartiallyConsumedNumbers) {
-  // Locale-style decimals and trailing junk must not half-parse: the whole
-  // word has to be consumed.
-  for (const char* bad : {"1,5", "0x1.8p+1junk", "12abc", "0x", "--3", ""}) {
-    std::stringstream in(DbWithLogSum(bad));
-    EXPECT_FALSE(Correlator::LoadFrom(in).ok()) << '"' << bad << '"';
-  }
-}
+// Every count a decoder sizes an allocation from, set to a value the
+// payload cannot possibly hold, in an otherwise valid and CRC-sealed
+// snapshot: the decode must end in kDataLoss, not in std::bad_alloc or a
+// multi-gigabyte loop.
+TEST(Persistence, HostileSectionCountsAreDataLoss) {
+  Correlator original;
+  Populate(&original);
+  // A live process with an open file, so the first stream has non-empty
+  // file-state and window lists; a pending purge so FILE has a queue.
+  original.OnReference(Ref(1, RefKind::kBegin, "/p0/f1", 100 * kMicrosPerSecond));
+  ASSERT_FALSE(original.files().pending_purge().empty());
+  const std::string valid = original.EncodeSnapshot();
+  ASSERT_TRUE(Correlator::DecodeSnapshot(valid).ok());
 
-TEST(Persistence, AcceptsPlainAndHexFloatSpellings) {
-  for (const char* good : {"0x1.8p+1", "-0x1.8p+1", "3.25", "-3.25", "0"}) {
-    std::stringstream in(DbWithLogSum(good));
-    EXPECT_TRUE(Correlator::LoadFrom(in).ok()) << good;
+  struct Site {
+    const char* name;
+    uint32_t tag;
+    // Offset of the count within the section payload.
+    std::function<size_t(std::string_view payload)> offset;
+  };
+  // STRM: u32 removed | i32 pid* | u32 streams | first stream: i32 pid |
+  // i32 parent | u64 open | u64 ref | u32 files | 33-byte states | u32
+  // window.
+  const auto first_stream = [](std::string_view p) { return 8 + 4 * size_t{U32At(p, 0)}; };
+  const Site sites[] = {
+      {"path count", kTagPaths, [](std::string_view) { return size_t{0}; }},
+      {"purge count", kTagFiles,
+       [](std::string_view p) { return 32 + 37 * static_cast<size_t>(U64At(p, 0)); }},
+      {"removed-pid count", kTagStreams, [](std::string_view) { return size_t{0}; }},
+      {"stream count", kTagStreams,
+       [](std::string_view p) { return 4 + 4 * size_t{U32At(p, 0)}; }},
+      {"stream file count", kTagStreams,
+       [&](std::string_view p) { return first_stream(p) + 24; }},
+      {"stream window count", kTagStreams,
+       [&](std::string_view p) {
+         const size_t files_at = first_stream(p) + 24;
+         return files_at + 4 + 33 * size_t{U32At(p, files_at)};
+       }},
+  };
+  for (const Site& site : sites) {
+    for (const uint32_t count : {0xffffffffu, 0x7fffffffu}) {
+      bool edited = false;
+      const std::string hostile =
+          ResealSections(valid, [&](size_t, uint32_t tag, std::string* payload) {
+            if (tag == site.tag && !edited) {
+              const size_t at = site.offset(*payload);
+              ASSERT_LE(at + 4, payload->size()) << site.name;
+              PutU32At(payload, at, count);
+              edited = true;
+            }
+          });
+      ASSERT_TRUE(edited) << site.name;
+      const auto loaded = Correlator::DecodeSnapshot(hostile);
+      ASSERT_FALSE(loaded.ok()) << site.name << ' ' << count;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << site.name;
+    }
   }
 }
 

@@ -465,10 +465,10 @@ TEST_P(CorrelatorProperty, ChaosThenPersistenceRoundTrip) {
   }
 
   // Persistence identity.
-  std::stringstream buffer;
-  correlator.SaveTo(buffer);
-  const auto loaded = Correlator::LoadFrom(buffer);
+  const std::string snapshot = correlator.EncodeSnapshot();
+  const auto loaded = Correlator::DecodeSnapshot(snapshot);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ((*loaded)->EncodeSnapshot(), snapshot);
   for (int i = 0; i < 25; ++i) {
     for (int j = 0; j < 25; ++j) {
       EXPECT_EQ((*loaded)->Distance(paths[i], paths[j]),

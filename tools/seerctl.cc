@@ -8,16 +8,17 @@
 //       Generate a synthetic reference trace for one of the paper's nine
 //       machine profiles.
 //
-//   seerctl replay trace.txt [--params params.txt] [--save db.seer]
+//   seerctl replay trace.txt [--params params.txt] [--save store/]
 //       Replay a trace through the observer and correlator (the paper's
-//       "simulation mode"), print what was learned, optionally save the
-//       text database.
+//       "simulation mode"), print what was learned, optionally save it as
+//       a snapshot store.
 //
-//   seerctl db {save,load,verify,compact,info} DIR ...
+//   seerctl db {save,dump,verify,compact,info} DIR ...
 //       Operate on a crash-safe snapshot+WAL store directory (see
-//       src/core/snapshot_store.h): build one from a trace or a text
-//       database, dump one back to text, check its integrity, compact its
-//       generations, or describe its contents.
+//       src/core/snapshot_store.h): build one from a trace, dump one as
+//       text, check its integrity, compact its generations, or describe
+//       its contents. Every command that reads a database (clusters,
+//       hoard, ...) reads such a store.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -442,6 +443,28 @@ bool ReplayTraceInto(const char* path, const ObserverConfig& observer_config,
   return true;
 }
 
+// Commits `correlator` as one new generation of the store at `dir`, the
+// one write path of `replay --save` and `db save`.
+int SaveToStore(const char* dir, const Correlator& correlator,
+                const SnapshotStoreOptions& options) {
+  SnapshotStore store(&DefaultFs(), dir, options);
+  Status status = store.Open();
+  if (status.ok()) {
+    const auto result = store.Checkpoint(correlator);
+    status = result.status();
+    if (result.ok()) {
+      std::printf("%s: wrote generation %llu (%zu files tracked)\n", dir,
+                  static_cast<unsigned long long>(result->generation),
+                  correlator.files().size());
+    }
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "seerctl: %s: %s\n", dir, status.ToString().c_str());
+    return 1;
+  }
+  return 0;
+}
+
 int Replay(int argc, char** argv, int start) {
   const char* path = Positional(argc, argv, start);
   if (path == nullptr) {
@@ -491,41 +514,37 @@ int Replay(int argc, char** argv, int start) {
     std::printf("\n");
   }
 
-  if (const char* save_path = FlagValue(argc, argv, start, "--save")) {
-    std::ofstream out(save_path);
-    if (!out) {
-      std::fprintf(stderr, "seerctl: cannot write %s\n", save_path);
-      return 1;
-    }
-    correlator.SaveTo(out);
-    std::printf("database saved to %s\n", save_path);
+  if (const char* dir = FlagValue(argc, argv, start, "--save")) {
+    return SaveToStore(dir, correlator, SnapshotStoreOptions());
   }
   return 0;
 }
 
 // --- clusters --------------------------------------------------------------------
 
-std::unique_ptr<Correlator> LoadDbOrDie(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "seerctl: cannot open %s\n", path);
+// Recovers the newest consistent state of the store at `dir`. A directory
+// with no snapshot holds no database, so it is an error rather than an
+// empty correlator.
+SnapshotStore::RecoveryResult LoadDbOrDie(const char* dir) {
+  SnapshotStore store(&DefaultFs(), dir);
+  auto recovered = store.Recover();
+  if (recovered.ok() && recovered->fresh) {
+    recovered = Status::NotFound("no snapshot in store");
+  }
+  if (!recovered.ok()) {
+    std::fprintf(stderr, "seerctl: %s: %s\n", dir, recovered.status().ToString().c_str());
     std::exit(1);
   }
-  auto correlator = Correlator::LoadFrom(in);
-  if (!correlator.ok()) {
-    std::fprintf(stderr, "seerctl: %s: %s\n", path, correlator.status().message().c_str());
-    std::exit(1);
-  }
-  return *std::move(correlator);
+  return *std::move(recovered);
 }
 
 int Clusters(int argc, char** argv, int start) {
   const char* path = Positional(argc, argv, start);
   if (path == nullptr) {
-    std::fprintf(stderr, "seerctl: clusters requires a DB argument\n");
+    std::fprintf(stderr, "seerctl: clusters requires a DIR argument\n");
     return 2;
   }
-  const auto correlator = LoadDbOrDie(path);
+  const auto correlator = LoadDbOrDie(path).correlator;
   const char* min_size_arg = FlagValue(argc, argv, start, "--min-size");
   const size_t min_size = min_size_arg != nullptr ? std::strtoull(min_size_arg, nullptr, 10) : 2;
 
@@ -557,10 +576,10 @@ int Clusters(int argc, char** argv, int start) {
 int ClusterStats(int argc, char** argv, int start) {
   const char* path = Positional(argc, argv, start);
   if (path == nullptr) {
-    std::fprintf(stderr, "seerctl: cluster requires a DB argument\n");
+    std::fprintf(stderr, "seerctl: cluster requires a DIR argument\n");
     return 2;
   }
-  auto correlator = LoadDbOrDie(path);
+  auto correlator = LoadDbOrDie(path).correlator;
 
   const int threads = ThreadsFlagOrDie(argc, argv, start);
   if (threads > 0) {
@@ -604,10 +623,10 @@ int Hoard(int argc, char** argv, int start) {
   const char* path = Positional(argc, argv, start);
   const char* budget_arg = FlagValue(argc, argv, start, "--budget-mb");
   if (path == nullptr || budget_arg == nullptr) {
-    std::fprintf(stderr, "seerctl: hoard requires DB and --budget-mb MB\n");
+    std::fprintf(stderr, "seerctl: hoard requires DIR and --budget-mb MB\n");
     return 2;
   }
-  const auto correlator = LoadDbOrDie(path);
+  const auto correlator = LoadDbOrDie(path).correlator;
   const double budget_mb = std::atof(budget_arg);
 
   HoardManager manager(static_cast<uint64_t>(budget_mb * 1024.0 * 1024.0));
@@ -693,10 +712,10 @@ int Pipeline(int argc, char** argv, int start) {
 int SuggestReorg(int argc, char** argv, int start) {
   const char* path = Positional(argc, argv, start);
   if (path == nullptr) {
-    std::fprintf(stderr, "seerctl: suggest-reorg requires a DB argument\n");
+    std::fprintf(stderr, "seerctl: suggest-reorg requires a DIR argument\n");
     return 2;
   }
-  const auto correlator = LoadDbOrDie(path);
+  const auto correlator = LoadDbOrDie(path).correlator;
   ReorganizerConfig config;
   if (const char* min_conf = FlagValue(argc, argv, start, "--min-confidence")) {
     config.min_confidence = std::atof(min_conf);
@@ -742,74 +761,44 @@ SnapshotStoreOptions StoreOptions(int argc, char** argv, int start) {
 int DbSave(int argc, char** argv, int start) {
   const char* dir = Positional(argc, argv, start);
   const char* from_trace = FlagValue(argc, argv, start, "--from-trace");
-  const char* from_db = FlagValue(argc, argv, start, "--from-db");
-  if (dir == nullptr || (from_trace == nullptr) == (from_db == nullptr)) {
-    std::fprintf(stderr,
-                 "seerctl: db save requires DIR and exactly one of --from-trace/--from-db\n");
+  if (dir == nullptr || from_trace == nullptr) {
+    std::fprintf(stderr, "seerctl: db save requires DIR and --from-trace TRACE\n");
     return 2;
   }
-
-  std::unique_ptr<Correlator> correlator;
-  if (from_db != nullptr) {
-    correlator = LoadDbOrDie(from_db);
-  } else {
-    correlator =
-        std::make_unique<Correlator>(ParamsFromFlagOrDie(argc, argv, start));
-    size_t events = 0;
-    if (!ReplayTraceInto(from_trace, ControlFromFlagOrDie(argc, argv, start),
-                         correlator.get(), &events)) {
-      return 1;
-    }
-    std::fprintf(stderr, "replayed %zu events from %s\n", events, from_trace);
-  }
-
-  SnapshotStore store(&DefaultFs(), dir, StoreOptions(argc, argv, start));
-  Status status = store.Open();
-  if (status.ok()) {
-    const auto result = store.Checkpoint(*correlator);
-    status = result.ok() ? Status::Ok() : result.status();
-    if (result.ok()) {
-      std::printf("%s: wrote generation %llu (%zu files tracked)\n", dir,
-                  static_cast<unsigned long long>(result->generation),
-                  correlator->files().size());
-    }
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "seerctl: %s: %s\n", dir, status.ToString().c_str());
+  Correlator correlator(ParamsFromFlagOrDie(argc, argv, start));
+  size_t events = 0;
+  if (!ReplayTraceInto(from_trace, ControlFromFlagOrDie(argc, argv, start), &correlator,
+                       &events)) {
     return 1;
   }
-  return 0;
+  std::fprintf(stderr, "replayed %zu events from %s\n", events, from_trace);
+  return SaveToStore(dir, correlator, StoreOptions(argc, argv, start));
 }
 
-int DbLoad(int argc, char** argv, int start) {
+int DbDump(int argc, char** argv, int start) {
   const char* dir = Positional(argc, argv, start);
   if (dir == nullptr) {
-    std::fprintf(stderr, "seerctl: db load requires a DIR argument\n");
+    std::fprintf(stderr, "seerctl: db dump requires a DIR argument\n");
     return 2;
   }
-  SnapshotStore store(&DefaultFs(), dir, StoreOptions(argc, argv, start));
-  const auto recovered = store.Recover();
-  if (!recovered.ok()) {
-    std::fprintf(stderr, "seerctl: %s: %s\n", dir, recovered.status().ToString().c_str());
-    return 1;
-  }
+  const SnapshotStore::RecoveryResult recovered = LoadDbOrDie(dir);
   std::fprintf(stderr,
                "recovered generation %llu (%llu wal records replayed%s%s)\n",
-               static_cast<unsigned long long>(recovered->generation),
-               static_cast<unsigned long long>(recovered->wal_records_replayed),
-               recovered->torn_wal_tail ? ", torn wal tail" : "",
-               recovered->snapshots_discarded > 0 ? ", damaged snapshots skipped" : "");
+               static_cast<unsigned long long>(recovered.generation),
+               static_cast<unsigned long long>(recovered.wal_records_replayed),
+               recovered.torn_wal_tail ? ", torn wal tail" : "",
+               recovered.snapshots_discarded > 0 ? ", damaged snapshots skipped" : "");
   if (const char* out_path = FlagValue(argc, argv, start, "-o")) {
     std::ofstream out(out_path);
     if (!out) {
       std::fprintf(stderr, "seerctl: cannot write %s\n", out_path);
       return 1;
     }
-    recovered->correlator->SaveTo(out);
-    std::printf("database saved to %s\n", out_path);
+    recovered.correlator->DumpText(out);
+    std::printf("dump written to %s\n", out_path);
   } else {
     std::ostringstream out;
-    recovered->correlator->SaveTo(out);
+    recovered.correlator->DumpText(out);
     std::fputs(out.str().c_str(), stdout);
   }
   return 0;
@@ -951,21 +940,20 @@ int DbInfo(int argc, char** argv, int start) {
 
 const std::vector<Subcommand>& DbCommands() {
   static const std::vector<Subcommand> commands = {
-      {"save", "db save DIR (--from-trace TRACE [--params FILE] [--control FILE] | --from-db DB)"
-               " [--keep N]",
-       "Build (or extend) a snapshot store at DIR from a replayed trace or\n"
-       "an existing text database, committing one new generation.\n\n"
+      {"save", "db save DIR --from-trace TRACE [--params FILE] [--control FILE] [--keep N]",
+       "Build (or extend) a snapshot store at DIR from a replayed trace,\n"
+       "committing one new generation.\n\n"
        "  --from-trace TRACE  replay TRACE through observer + correlator\n"
-       "  --from-db DB        load the text database DB\n"
-       "  --params FILE       correlator parameters for --from-trace\n"
-       "  --control FILE      observer control file for --from-trace\n"
+       "  --params FILE       correlator parameters\n"
+       "  --control FILE      observer control file\n"
        "  --keep N            snapshot generations to retain (default 2)\n",
        DbSave},
-      {"load", "db load DIR [-o FILE]",
+      {"dump", "db dump DIR [-o FILE]",
        "Recover the newest consistent state from the store at DIR (snapshot\n"
        "plus WAL replay, falling back past torn generations) and write it\n"
-       "as a portable text database to FILE, or stdout.\n",
-       DbLoad},
+       "as human-readable text to FILE, or stdout. The dump is for reading\n"
+       "and diffing; no command loads it back.\n",
+       DbDump},
       {"verify", "db verify DIR [--deep]",
        "Check the store's integrity: the newest snapshot chain (nearest\n"
        "full plus its deltas) must decode, the WAL chain must be gapless\n"
@@ -1503,40 +1491,41 @@ const std::vector<Subcommand>& Commands() {
        GenTrace},
       {"stats", "stats TRACE",
        "Per-operation, per-status, and per-file statistics for a trace.\n", Stats},
-      {"replay", "replay TRACE [--params FILE] [--control FILE] [--stats] [--save FILE]",
+      {"replay", "replay TRACE [--params FILE] [--control FILE] [--stats] [--save DIR]",
        "Replay a trace through the observer and correlator (simulation\n"
-       "mode), print what was learned, optionally save the text database.\n\n"
+       "mode), print what was learned, optionally save it as a store.\n\n"
        "  --params FILE   correlator parameters\n"
        "  --control FILE  observer control file\n"
        "  --stats         print replay wall time and references/sec\n"
-       "  --save FILE     save the learned database (text format)\n",
+       "  --save DIR      commit the learned database to the snapshot\n"
+       "                  store DIR as one new generation\n",
        Replay},
-      {"clusters", "clusters DB [--min-size N]",
-       "Dump the project clusters of a saved text database.\n\n"
+      {"clusters", "clusters DIR [--min-size N]",
+       "Dump the project clusters of the database in store DIR.\n\n"
        "  --min-size N   only clusters with at least N members (default 2)\n",
        Clusters},
-      {"cluster", "cluster DB [--stats] [--threads K]",
+      {"cluster", "cluster DIR [--stats] [--threads K]",
        "Build project clusters with the parallel engine and print build\n"
        "statistics.\n\n"
        "  --stats        also print dirty-set size, rescored files, edges\n"
        "  --threads K    scoring threads (default: SEER_THREADS, else all\n"
        "                 cores); --threads=K is accepted too\n",
        ClusterStats},
-      {"hoard", "hoard DB --budget-mb MB [--stats]",
-       "Compute hoard contents from a saved text database under a space\n"
+      {"hoard", "hoard DIR --budget-mb MB [--stats]",
+       "Compute hoard contents from the database in store DIR under a space\n"
        "budget. --stats prints the fill-plane breakdown (aggregate cache\n"
        "hits, phase times, thread count).\n",
        Hoard},
       {"check-config", "check-config FILE",
        "Validate a system control file and echo the parsed configuration.\n", CheckConfig},
-      {"suggest-reorg", "suggest-reorg DB [--min-confidence F]",
+      {"suggest-reorg", "suggest-reorg DIR [--min-confidence F]",
        "Suggest directory reorganisations from the cluster structure.\n", SuggestReorg},
       {"pipeline", "pipeline TRACE [--control FILE]",
        "Replay a trace through the instrumented observer -> sink-chain ->\n"
        "async-correlator data plane and print per-stage counters, latency\n"
        "percentiles, and queue statistics.\n",
        Pipeline},
-      {"db", "db {save|load|verify|compact|info} DIR ...",
+      {"db", "db {save|dump|verify|compact|info} DIR ...",
        "Operate on a crash-safe snapshot+WAL store directory.\n"
        "Run `seerctl db` for the sub-command list.\n",
        Db, /*has_subcommands=*/true},
