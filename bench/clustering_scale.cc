@@ -1,23 +1,20 @@
-// Section 3.3.2 — Clustering time complexity, plus the parallel and
-// incremental engine.
+// Section 3.3.2 — Clustering time complexity, plus the incremental engine.
 //
 // SEER's variation of Jarvis-Patrick avoids the O(N^2) all-pairs neighbor
 // comparison by reusing the relation table's per-file lists, giving O(N)
 // time. This bench measures wall-clock clustering time across a range of
-// file counts in three configurations:
+// file counts in two configurations:
 //
-//   serial     — one thread, full rescore (the pre-parallel baseline);
-//   parallel   — the pool's thread count (SEER_THREADS or all cores),
-//                full rescore;
+//   full       — every edge rescored (incremental rebuilds off);
 //   incremental— warm edge cache, ~1% of files touched with fresh
 //                observations, rebuild rescoring only the dirty set.
 //
-// All three produce bit-identical ClusterSets (checked here); per-file cost
+// Both produce bit-identical ClusterSets (checked here); per-file cost
 // should stay roughly flat as N grows (the O(N) claim).
 //
 // In addition to the interactive table, the binary always writes
-// BENCH_clustering.json — rows of {files, clusters, serial_ms, parallel_ms,
-// speedup} plus the incremental measurement — so future changes have a
+// BENCH_clustering.json — rows of {files, clusters, serial_ms,
+// us_per_file} plus the incremental measurement — so future changes have a
 // machine-readable perf trajectory to compare against.
 #include <algorithm>
 #include <chrono>
@@ -28,7 +25,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/correlator.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 namespace {
@@ -100,21 +96,12 @@ int TouchOnePercent(Correlator* correlator, int n_files, Time* t) {
 
 int main() {
   using namespace seer;
-  const int threads = bench::EffectiveSeerThreads();
-  // The serial column pins 1 thread, so the sweep's width is the parallel
-  // column's thread count: speedup numbers are only meaningful when the
-  // host really has that many cores AND more than one thread is in play
-  // (at threads=1 the "parallel" column is just the serial build again).
-  const bool scaling_valid =
-      bench::WarnIfScalingInvalid("clustering_scale", threads) && threads >= 2;
   bench::PrintHeader(
       "Clustering scalability (Section 3.3.2): per-file cost should stay\n"
-      "roughly flat with N (the O(N) shared-neighbor variation); parallel\n"
-      "scoring and incremental rescore cut the constant");
-  std::printf("threads for the parallel column: %d (override with SEER_THREADS)\n\n", threads);
+      "roughly flat with N (the O(N) shared-neighbor variation); incremental\n"
+      "rescore cuts the constant");
 
-  std::printf("%8s %9s %11s %12s %8s %9s\n", "files", "clusters", "serial(ms)",
-              "parallel(ms)", "speedup", "us/file");
+  std::printf("%8s %9s %11s %9s\n", "files", "clusters", "serial(ms)", "us/file");
   bench::PrintRule();
 
   const int reps = bench::FullScale() ? 3 : 2;
@@ -124,10 +111,8 @@ int main() {
     int files = 0;
     size_t clusters = 0;
     double serial_ms = 0.0;
-    double parallel_ms = 0.0;
   };
   std::vector<Row> rows;
-  bool identical = true;
 
   for (int n = 1024; n <= max_n; n *= 2) {
     auto correlator = LoadedCorrelator(n, kProjectSize);
@@ -135,22 +120,15 @@ int main() {
 
     Row row;
     row.files = n;
-    ClusterSet serial_set;
-    ClusterSet parallel_set;
+    ClusterSet set;
     for (int r = 0; r < reps; ++r) {
-      correlator->SetClusterThreads(1);
-      const double s = TimedBuildMs(correlator.get(), &serial_set);
-      correlator->SetClusterThreads(threads);
-      const double p = TimedBuildMs(correlator.get(), &parallel_set);
+      const double s = TimedBuildMs(correlator.get(), &set);
       row.serial_ms = r == 0 ? s : std::min(row.serial_ms, s);
-      row.parallel_ms = r == 0 ? p : std::min(row.parallel_ms, p);
     }
-    row.clusters = parallel_set.clusters.size();
-    identical = identical && SameClusters(serial_set, parallel_set);
+    row.clusters = set.clusters.size();
 
-    std::printf("%8d %9zu %11.2f %12.2f %7.2fx %9.2f\n", row.files, row.clusters,
-                row.serial_ms, row.parallel_ms, row.serial_ms / row.parallel_ms,
-                row.parallel_ms * 1000.0 / row.files);
+    std::printf("%8d %9zu %11.2f %9.2f\n", row.files, row.clusters, row.serial_ms,
+                row.serial_ms * 1000.0 / row.files);
     rows.push_back(row);
   }
 
@@ -158,7 +136,6 @@ int main() {
   // build, touch ~1% of files, rebuild.
   const int n = max_n;
   auto correlator = LoadedCorrelator(n, kProjectSize);
-  correlator->SetClusterThreads(threads);
   (void)correlator->BuildClusters();  // warm the edge cache (full build)
   Time t = 1'000'000'000;
   const int touched = TouchOnePercent(correlator.get(), n, &t);
@@ -170,7 +147,7 @@ int main() {
   correlator->SetIncrementalClustering(false);
   ClusterSet full_after;
   const double full_after_ms = TimedBuildMs(correlator.get(), &full_after);
-  identical = identical && SameClusters(incremental_set, full_after);
+  const bool identical = SameClusters(incremental_set, full_after);
 
   bench::PrintRule();
   std::printf(
@@ -180,7 +157,7 @@ int main() {
       n, touched, inc_stats.dirty_files, inc_stats.files_rescored, full_after_ms,
       incremental_ms, 100.0 * incremental_ms / full_after_ms, inc_stats.pack_ms,
       inc_stats.plan_ms, inc_stats.score_ms, inc_stats.merge_ms);
-  std::printf("outputs identical across serial/parallel/incremental: %s\n",
+  std::printf("incremental output identical to a full build: %s\n",
               identical ? "yes" : "NO — BUG");
   std::printf(
       "paper reference: ~2 CPU minutes for a typical user's ~20,000 files\n"
@@ -195,17 +172,14 @@ int main() {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"clustering_scale\",\n");
   bench::WriteJsonMachineMeta(out);
-  std::fprintf(out, "  \"scaling_valid\": %s,\n", scaling_valid ? "true" : "false");
-  std::fprintf(out, "  \"threads\": %d,\n", threads);
   std::fprintf(out, "  \"outputs_identical\": %s,\n", identical ? "true" : "false");
   std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
                  "    {\"files\": %d, \"clusters\": %zu, \"serial_ms\": %.3f, "
-                 "\"parallel_ms\": %.3f, \"speedup\": %.3f, \"us_per_file\": %.3f}%s\n",
-                 row.files, row.clusters, row.serial_ms, row.parallel_ms,
-                 row.serial_ms / row.parallel_ms, row.parallel_ms * 1000.0 / row.files,
+                 "\"us_per_file\": %.3f}%s\n",
+                 row.files, row.clusters, row.serial_ms, row.serial_ms * 1000.0 / row.files,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");

@@ -300,10 +300,11 @@ int main() {
   std::printf("store footprint:   %" PRIu64 " bytes in MemFs\n", fs.TotalBytes());
 
   // Thread sweep (in-process only): the whole fleet replayed on fresh
-  // routers at pool widths 1/2/4/8. Ingest folds serially per tenant; the
-  // shared pool carries cluster scoring, so aggregate refs/s moves with the
-  // pool only as far as clustering does. scaling_valid records whether this
-  // host covers the sweep.
+  // routers at pool widths 1/2/4/8. Ingest, clustering and hoard fills run
+  // serially per tenant; the shared pool carries only snapshot encode and
+  // recovery decode, so aggregate refs/s moves with the pool only as far
+  // as checkpoints do. scaling_valid records whether this host covers the
+  // sweep.
   struct SweepPoint {
     int threads = 0;
     double refs_per_sec = 0.0;

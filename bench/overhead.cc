@@ -105,7 +105,7 @@ void BM_TracedOpenClose(benchmark::State& state) {
   const Pid pid = procs.SpawnInit(1000, "/home/u/proj");
   int i = 0;
   for (auto _ : state) {
-    const auto r = tracer.Open(pid, "f" + std::to_string(i++ % 64), false);
+    const auto r = tracer.Open(pid, std::string("f").append(std::to_string(i++ % 64)), false);
     tracer.Close(pid, r.fd);
   }
   state.SetItemsProcessed(state.iterations() * 2);

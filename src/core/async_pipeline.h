@@ -73,8 +73,7 @@ class AsyncCorrelator : public ReferenceSink {
   double Distance(const std::string& from, const std::string& to);
   size_t KnownFiles();
 
-  // Cluster-engine controls, applied under the pipeline lock.
-  void SetClusterThreads(int threads);
+  // What the most recent cluster build did, read under the pipeline lock.
   ClusterBuildStats LastClusterStats();
 
   // Statistics.

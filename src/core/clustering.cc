@@ -1,13 +1,11 @@
 #include "src/core/clustering.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <set>
 
 #include "src/util/dsu.h"
 #include "src/util/path.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -21,19 +19,6 @@ constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
 constexpr uint8_t kKeepBucket = 0;
 constexpr uint8_t kPartialRescore = 1;
 constexpr uint8_t kFullRescore = 2;
-
-// Task granularity for the parallel phases. Chunks are coarse and
-// thread-proportional — a few contiguous ranges per worker — rather than a
-// fixed small size: candidate slots ascend by FileId, so a contiguous
-// range covers whole 256-file relation stripes and each worker walks slab
-// rows it recently touched instead of interleaving cache lines with its
-// peers. kChunksPerThread > 1 keeps dynamic balancing across skewed
-// neighbor lists; kMinChunk bounds the claim-counter traffic; work below
-// kSerialCutoff items skips the pool dispatch entirely (at small N the
-// wake/join round-trip used to cost more than the scoring itself).
-constexpr size_t kChunksPerThread = 4;
-constexpr size_t kMinChunk = 64;
-constexpr size_t kSerialCutoff = 2048;
 
 // Number of non-empty '/'-separated segments, as SplitPath counts them.
 size_t CountComponents(std::string_view path) {
@@ -73,8 +58,6 @@ ClusterBuilder::ClusterBuilder(const SeerParams& params, const FileTable* files,
       // PairKey packs lo < hi, so all-ones can never be a real key.
       investigated_(static_cast<uint64_t>(-1)) {}
 
-ClusterBuilder::~ClusterBuilder() = default;
-
 uint64_t ClusterBuilder::PairKey(FileId a, FileId b) const {
   const FileId lo = std::min(a, b);
   const FileId hi = std::max(a, b);
@@ -111,37 +94,6 @@ void ClusterBuilder::ClearInvestigatedPairs() {
 double ClusterBuilder::InvestigatedStrength(FileId a, FileId b) const {
   const double* strength = investigated_.Find(PairKey(a, b));
   return strength == nullptr ? 0.0 : *strength;
-}
-
-void ClusterBuilder::set_threads(int threads) {
-  threads_ = threads;
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ != nullptr && pool_threads_ != want) {
-    pool_.reset();
-  }
-}
-
-int ClusterBuilder::threads() const {
-  return threads_ > 0 ? threads_ : DefaultThreadCount();
-}
-
-void ClusterBuilder::set_shared_pool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  if (pool != nullptr) {
-    pool_.reset();
-  }
-}
-
-ThreadPool* ClusterBuilder::Pool() const {
-  if (shared_pool_ != nullptr) {
-    return shared_pool_;
-  }
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ == nullptr || pool_threads_ != want) {
-    pool_ = std::make_unique<ThreadPool>(want);
-    pool_threads_ = want;
-  }
-  return pool_.get();
 }
 
 double ClusterBuilder::AdjustedSharedCount(FileId from, FileId to) const {
@@ -494,79 +446,32 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     refresh_ = candidates;  // full pass: rebuild every candidate's inputs
   }
 
-  ThreadPool* pool = Pool();
-  stats_.threads = pool->threads();
-
-  // Shared dispatcher for the parallel phases: runs body(lo, hi) over
-  // [0, items), inline when the pool is serial or the work is under the
-  // adaptive cutoff, otherwise in coarse contiguous ranges (see the
-  // granularity constants above). Every body is a pure per-item function
-  // with disjoint writes, so the split cannot affect results.
-  const auto RunRanges = [&](size_t items, const std::function<void(size_t, size_t)>& body) {
-    const size_t workers = static_cast<size_t>(pool->threads());
-    const size_t chunks =
-        std::min(workers * kChunksPerThread, (items + kMinChunk - 1) / kMinChunk);
-    if (workers <= 1 || items <= kSerialCutoff || chunks <= 1) {
-      body(0, items);
-      return;
-    }
-    const size_t per = (items + chunks - 1) / chunks;
-    pool->ParallelChunks(chunks, [&](size_t c) {
-      const size_t lo = c * per;
-      const size_t hi = std::min(items, lo + per);
-      if (lo < hi) {
-        body(lo, hi);
-      }
-    });
-  };
-
   // Input refresh: rebuild the cached live-neighbor rows / path views of
-  // refresh_ in parallel. Writes are disjoint per file and each result is a
-  // pure per-file function, so order (and thread count) cannot matter.
+  // refresh_. Each result is a pure per-file function.
   mark = std::chrono::steady_clock::now();
-  if (!refresh_.empty()) {
-    RunRanges(refresh_.size(), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        RefreshFileInputs(refresh_[i]);
-      }
-    });
+  for (const FileId f : refresh_) {
+    RefreshFileInputs(f);
   }
   stats_.pack_ms += MsSince(mark);
 
   // Scoring phase: recompute the edge bucket of every slot marked for
-  // rescore, in parallel. Buckets are disjoint per slot, all other state is
-  // read-only, and the bucket content is a pure function of the cached
-  // inputs — so the merge below is order-independent and the output is
-  // identical at any thread count. The removal flag is an OR over slots,
-  // equally order-independent.
-  std::vector<uint32_t> work;
-  work.reserve(n);
+  // rescore. The bucket content is a pure function of the cached inputs,
+  // so the merge below is order-independent.
+  mark = std::chrono::steady_clock::now();
+  std::vector<uint8_t> edge_removed(n, 0);  // per slot
+  const bool fast_union = incremental && fast_union_ok_ && comp_valid_;
+  ScoreScratch scratch;
   for (uint32_t slot = 0; slot < n; ++slot) {
     if (rescore_[slot] != kKeepBucket) {
-      work.push_back(slot);
+      ScoreSlot(slot, candidates, rescore_[slot], &scratch, &stats_.edges_scored,
+                fast_union ? &edge_removed[slot] : nullptr);
+      ++stats_.files_rescored;
     }
   }
-  mark = std::chrono::steady_clock::now();
-  std::atomic<size_t> edges_scored{0};
-  std::vector<uint8_t> edge_removed(n, 0);  // per slot, disjoint writes
-  const bool fast_union = incremental && fast_union_ok_ && comp_valid_;
-  if (!work.empty()) {
-    RunRanges(work.size(), [&](size_t lo, size_t hi) {
-      ScoreScratch scratch;
-      size_t local = 0;
-      for (size_t w = lo; w < hi; ++w) {
-        ScoreSlot(work[w], candidates, rescore_[work[w]], &scratch, &local,
-                  fast_union ? &edge_removed[work[w]] : nullptr);
-      }
-      edges_scored.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  stats_.files_rescored = work.size();
-  stats_.edges_scored = edges_scored.load(std::memory_order_relaxed);
   stats_.score_ms = MsSince(mark);
   mark = std::chrono::steady_clock::now();
 
-  // Phase one (sequential): combine clusters across near edges. Cached
+  // Phase one: combine clusters across near edges. Cached
   // buckets may name files that are no longer candidates; the slot lookup
   // filters them. On the fast path, a component whose near edges all
   // survived is replayed from its cached label (one trivial union per
@@ -667,22 +572,13 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     }
   }
 
-  // Sort/dedup the touched clusters' members in parallel (clusters are
-  // disjoint vectors; sorting is per-cluster pure, so order cannot matter).
-  std::vector<uint32_t> touched_list;
+  // Sort/dedup the touched clusters' members.
   for (uint32_t c = 0; c < cluster_touched.size(); ++c) {
     if (cluster_touched[c]) {
-      touched_list.push_back(c);
+      std::vector<FileId>& m = members[c];
+      std::sort(m.begin(), m.end());
+      m.erase(std::unique(m.begin(), m.end()), m.end());
     }
-  }
-  if (!touched_list.empty()) {
-    RunRanges(touched_list.size(), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        std::vector<FileId>& m = members[touched_list[i]];
-        std::sort(m.begin(), m.end());
-        m.erase(std::unique(m.begin(), m.end()), m.end());
-      }
-    });
   }
 
   // Identical clusters can only arise from far overlap (phase-one clusters

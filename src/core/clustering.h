@@ -20,11 +20,9 @@
 //     into one project.
 //
 // Engine shape (see DESIGN.md §10): edge *scoring* — the expensive phase —
-// is a pure function of fixed neighbor sets, so it runs in parallel over
-// candidate files on a chunked thread pool, writing each file's scored
+// is a pure function of fixed neighbor sets, writing each file's scored
 // edges into a per-file bucket. The *union* phase then walks the buckets
-// in candidate order on one thread, so the output is bit-identical at any
-// thread count. Buckets are cached between builds: the relation table
+// in candidate order. Buckets are cached between builds: the relation table
 // stamps files whose live neighbor sets changed (dirty epoch), and an
 // incremental rebuild rescores only stamped files and their
 // reverse-neighbors, falling back to a full pass when the dirty fraction
@@ -33,7 +31,6 @@
 #define SRC_CORE_CLUSTERING_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -43,8 +40,6 @@
 #include "src/util/flat_map.h"
 
 namespace seer {
-
-class ThreadPool;
 
 struct Cluster {
   std::vector<FileId> members;  // sorted, unique
@@ -93,12 +88,11 @@ struct ClusterBuildStats {
   size_t files_rescored = 0;  // edge buckets recomputed this build
   size_t edges_scored = 0;    // adjusted-count evaluations performed
   bool incremental = false;   // cached buckets were reused
-  int threads = 1;
   double build_ms = 0.0;
   // Phase split of build_ms, for the perf harness.
   double pack_ms = 0.0;   // candidate packing (rows, paths, dir components)
   double plan_ms = 0.0;   // dirty-set collection and rescore planning
-  double score_ms = 0.0;  // parallel edge scoring
+  double score_ms = 0.0;  // edge scoring
   double merge_ms = 0.0;  // union + materialise + emit
 };
 
@@ -106,7 +100,6 @@ class ClusterBuilder {
  public:
   ClusterBuilder(const SeerParams& params, const FileTable* files,
                  const RelationTable* relations);
-  ~ClusterBuilder();
 
   // Registers investigator evidence for an unordered pair; strengths from
   // multiple investigators accumulate (Section 3.3.3).
@@ -123,16 +116,6 @@ class ClusterBuilder {
   // Adjusted shared-neighbor count for an ordered pair (x in Table 1).
   // Reference implementation; Build uses an allocation-free equivalent.
   double AdjustedSharedCount(FileId from, FileId to) const;
-
-  // Scoring-phase thread count; 0 (the default) selects DefaultThreadCount()
-  // (the SEER_THREADS override, else hardware concurrency).
-  void set_threads(int threads);
-  int threads() const;
-
-  // Score on a caller-owned pool instead of a private one (multi-tenant
-  // pool multiplexing; see Correlator::UseSharedPool). nullptr restores
-  // the private pool.
-  void set_shared_pool(ThreadPool* pool);
 
   // Incremental rebuilds are on by default; turning them off forces every
   // Build to rescore all edges (the benches' serial/full baseline).
@@ -154,11 +137,10 @@ class ClusterBuilder {
   static constexpr double kIncrementalFallbackFraction = 0.25;
 
  private:
-  struct ScoreScratch;  // per-chunk scoring buffers (defined in the .cc)
+  struct ScoreScratch;  // scoring buffers reused across slots (defined in the .cc)
 
   uint64_t PairKey(FileId a, FileId b) const;
   double InvestigatedStrength(FileId a, FileId b) const;
-  ThreadPool* Pool() const;
   // Rebuilds one file's cached scoring inputs: sorted live-neighbor row,
   // interner path view, dirname components.
   void RefreshFileInputs(FileId f) const;
@@ -186,12 +168,8 @@ class ClusterBuilder {
   mutable std::vector<FileId> inv_dirty_;
   mutable bool inv_cleared_ = false;
   bool incremental_enabled_ = true;
-  int threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides pool_
 
   // --- build-time cache & scratch (logically transparent) ------------------
-  mutable std::unique_ptr<ThreadPool> pool_;
-  mutable int pool_threads_ = 0;
   mutable ClusterBuildStats stats_;
   // Per-file scored edges (x >= kf) from the last build, partitioned: the
   // first near_count_[f] entries are near edges (x >= kn), the rest far.

@@ -36,7 +36,6 @@
 #include "src/core/snapshot_codec.h"
 #include "src/observer/reference.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -91,14 +90,6 @@ class Correlator : public ReferenceSink {
   // books the call in ingest_stats().
   void IngestBatch(const IngestEvent* events, size_t count);
 
-  // Run cluster scoring on a caller-owned pool instead of a private one.
-  // The multi-tenant router multiplexes one pool across every resident
-  // tenant this way; per-tenant worker threads would not scale. nullptr
-  // restores the private pool. Results are unchanged either way — cluster
-  // scoring is bit-identical at any thread count, and contended dispatches
-  // fall back to inline execution (see ThreadPool).
-  void UseSharedPool(ThreadPool* pool) { clusters_.set_shared_pool(pool); }
-
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
   // --- Investigators ------------------------------------------------------
@@ -115,11 +106,6 @@ class Correlator : public ReferenceSink {
 
   // Groups all live files into (possibly overlapping) projects.
   ClusterSet BuildClusters() const;
-
-  // Scoring-phase thread count for cluster builds; 0 restores the default
-  // (SEER_THREADS / hardware concurrency).
-  void SetClusterThreads(int threads) { clusters_.set_threads(threads); }
-  int cluster_threads() const { return clusters_.threads(); }
 
   // Incremental cluster rebuilds are on by default; benches turn them off
   // to measure the full-build baseline.
@@ -192,17 +178,15 @@ class Correlator : public ReferenceSink {
   SealedSnapshot SealSnapshot(const SealRequest& req) const;
   SealedSnapshot SealSnapshot() const { return SealSnapshot(SealRequest()); }
 
-  // Decodes a base snapshot plus its delta chain (oldest first; a single
-  // full snapshot is the one-element chain). Relation stripes decode in
-  // parallel on `pool` straight into the slab; nullptr decodes serially.
-  static StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
-      const std::vector<std::string_view>& chain, ThreadPool* pool = nullptr);
-
   // Drops stream-removal log entries up to `epoch` once the checkpoint
   // that exported them is durable.
   void TrimStreamRemovals(uint64_t epoch) { streams_.TrimRemovalLog(epoch); }
 
  private:
+  // The snapshot chain decoder (DecodeSnapshotChain in snapshot_codec.h)
+  // restores decoded state straight into the members.
+  friend class SnapshotChainDecoder;
+
   // Runs `flip`, a FileTable change to the liveness or pathname of `ids`,
   // then stamps each valid id with RelationTable::MarkSetChanged. Every
   // such change goes through here, so no flip goes unstamped: the stamps

@@ -37,7 +37,7 @@ StatusOr<std::unique_ptr<DurableCorrelator>> DurableCorrelator::Open(
 
   auto durable = std::unique_ptr<DurableCorrelator>(
       new DurableCorrelator(std::move(store), std::move(recovered.correlator)));
-  durable->UseSharedPool(shared_pool);
+  durable->shared_pool_ = shared_pool;
   durable->open_stats_.recovered_generation = recovered.generation;
   durable->open_stats_.fresh = recovered.fresh;
   durable->open_stats_.snapshots_discarded = recovered.snapshots_discarded;
@@ -49,14 +49,6 @@ StatusOr<std::unique_ptr<DurableCorrelator>> DurableCorrelator::Open(
   // crash wreckage is superseded before we take new references.
   SEER_RETURN_IF_ERROR(durable->Checkpoint());
   return durable;
-}
-
-void DurableCorrelator::UseSharedPool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  correlator_->UseSharedPool(pool);
-  if (pool != nullptr) {
-    encode_pool_.reset();
-  }
 }
 
 ThreadPool* DurableCorrelator::EncodePool() {

@@ -64,10 +64,10 @@ class DurableCorrelator : public ReferenceSink {
   };
 
   // Recovers (or starts fresh) and checkpoints the recovered state as a
-  // new generation. `shared_pool`, when given, runs the recovery decode,
-  // the genesis checkpoint encode, and (via UseSharedPool) all later
-  // parallel phases — the multi-tenant router opens thousands of these
-  // against one pool.
+  // new generation. `shared_pool`, when given, runs the recovery decode
+  // and every checkpoint encode — the multi-tenant router opens thousands
+  // of these against one pool. nullptr gives each store a private encode
+  // pool, created on the first checkpoint.
   static StatusOr<std::unique_ptr<DurableCorrelator>> Open(
       Fs* fs, std::string dir, const SeerParams& defaults = {},
       SnapshotStoreOptions options = {}, ThreadPool* shared_pool = nullptr);
@@ -95,11 +95,6 @@ class DurableCorrelator : public ReferenceSink {
     return *correlator_;
   }
   SnapshotStore& store() { return store_; }
-
-  // Encode snapshots (and, forwarded to the correlator, measure and score)
-  // on a caller-owned pool. Must not be called while a checkpoint is in
-  // flight. nullptr restores private pools.
-  void UseSharedPool(ThreadPool* pool);
 
   // Snapshot the current state as the next generation and rotate the WAL,
   // synchronously (seal + encode + write + prune before returning).

@@ -17,10 +17,9 @@
 // (priority, live bytes, live count) per cluster, keyed by the cluster's
 // representative member and membership hash, and invalidated by the file
 // table's touch epoch. A refill after touching 1% of the files recomputes
-// ~1% of the aggregates; everything else is an O(1) cache hit. Dirty
-// aggregates are recomputed in parallel on a ThreadPool with a sequential
-// deterministic merge, so the selection is bit-identical at any thread
-// count — the same determinism recipe the clustering plane uses.
+// ~1% of the aggregates; everything else is an O(1) cache hit. The rank
+// is a total order over the aggregate table, so a scratch and an
+// incremental fill produce byte-identical selections.
 //
 // MissLog implements the two miss-tracking paths of Section 4.4: the manual
 // reporting program (with the 0-4 severity scale) and the automatic
@@ -29,7 +28,6 @@
 #define SRC_CORE_HOARD_H_
 
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -41,8 +39,6 @@
 #include "src/util/flat_map.h"
 
 namespace seer {
-
-class ThreadPool;
 
 // Severity scale of Section 4.4 (lower is worse).
 enum class MissSeverity : uint8_t {
@@ -57,8 +53,8 @@ struct HoardSelection {
   // Chosen paths in deterministic emission order: always-hoard (ascending),
   // pins (ascending), then ranked clusters with members in ascending id
   // order (most-recent-first within a cluster in partial-fill mode). The
-  // order is identical for scratch and incremental fills at any thread
-  // count, so byte-comparing two selections is a valid equivalence check.
+  // order is identical for scratch and incremental fills, so
+  // byte-comparing two selections is a valid equivalence check.
   std::vector<PathId> files;
   // The same ids sorted ascending — the membership index behind Contains().
   std::vector<PathId> sorted_ids;
@@ -87,7 +83,6 @@ struct HoardFillStats {
   size_t touched_files = 0;      // files moved since the cached epoch
   size_t sizes_resolved = 0;     // size_of calls made this fill
   bool incremental = false;      // cached aggregates were usable
-  int threads = 1;
   double fill_ms = 0.0;
   // Phase split of fill_ms, mirroring ClusterBuildStats.
   double agg_ms = 0.0;     // size column refresh + aggregate recompute
@@ -98,7 +93,7 @@ struct HoardFillStats {
 class HoardManager {
  public:
   // Per-file size oracle. Must be pure for a given fill (same path -> same
-  // size) and thread-safe: sizes are resolved in parallel and cached in a
+  // size): sizes are resolved on the calling thread and cached in a
   // PathId-indexed column that is refreshed only for files the file table
   // reports touched — a size change must be accompanied by a file-table
   // event (reference, delete, rename), which is how every ingest path
@@ -106,7 +101,6 @@ class HoardManager {
   using SizeFn = std::function<uint64_t(PathId path)>;
 
   explicit HoardManager(uint64_t budget_bytes) : budget_bytes_(budget_bytes) {}
-  ~HoardManager();
 
   void set_budget_bytes(uint64_t bytes) { budget_bytes_ = bytes; }
   uint64_t budget_bytes() const { return budget_bytes_; }
@@ -137,17 +131,6 @@ class HoardManager {
   }
   const std::set<PathId>& pinned() const { return pinned_; }
 
-  // Aggregate-recompute thread count; 0 (the default) selects
-  // DefaultThreadCount() (the SEER_THREADS override, else hardware
-  // concurrency). Below the serial cutoff the fill never touches a pool.
-  void set_threads(int threads);
-  int threads() const;
-
-  // Recompute aggregates on a caller-owned pool instead of a private one
-  // (multi-tenant pool multiplexing, same idiom as
-  // Correlator::UseSharedPool). nullptr restores the private pool.
-  void set_shared_pool(ThreadPool* pool);
-
   // Incremental fills are on by default; turning them off forces every
   // ChooseHoard to re-walk all clusters (the benches' scratch baseline).
   void set_incremental_fill(bool on) { incremental_fill_ = on; }
@@ -177,18 +160,11 @@ class HoardManager {
     uint64_t member_hash = 0;
   };
 
-  ThreadPool* Pool() const;
-
   uint64_t budget_bytes_;
   uint64_t reserved_bytes_ = 0;
   std::set<PathId> pinned_;
   bool allow_partial_ = false;
   bool incremental_fill_ = true;
-
-  int threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides pool_
-  mutable std::unique_ptr<ThreadPool> pool_;
-  mutable int pool_threads_ = 0;
 
   // --- fill cache (valid between fills) ------------------------------------
   mutable std::vector<ClusterAggregate> agg_cache_;    // last fill's table
@@ -202,8 +178,6 @@ class HoardManager {
   // --- per-fill scratch (persisted to keep warm fills allocation-free) -----
   mutable std::vector<ClusterAggregate> agg_scratch_;
   mutable std::vector<FileId> touched_;
-  mutable std::vector<FileId> resolve_;
-  mutable std::vector<uint32_t> dirty_;
   mutable std::vector<uint8_t> cluster_dirty_;
   mutable std::vector<uint32_t> rank_order_;
   mutable std::vector<uint64_t> sel_in_cluster_;

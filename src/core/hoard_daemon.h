@@ -34,9 +34,6 @@ struct HoardDaemonConfig {
   // refills from.
   DurableCorrelator* durable = nullptr;
   uint64_t wal_checkpoint_bytes = 4u << 20;
-  // Scoring-phase thread count for the clustering pass of each refill;
-  // 0 keeps the engine default (SEER_THREADS / hardware concurrency).
-  int cluster_threads = 0;
 };
 
 class HoardDaemon {

@@ -26,6 +26,12 @@ enum class MeanKind : uint8_t {
   kGeometric,
 };
 
+// Largest n that text input (params files, `params set`, a snapshot's
+// PRMS section) may ask for. The relation slab reserves n slots of 48
+// bytes per file, so this caps what a params directive can make a restore
+// allocate at 12 KiB per file. The paper uses 20; the ablation sweeps to 40.
+inline constexpr int kMaxNeighbors = 256;
+
 struct SeerParams {
   // n: nearest-neighbor distances kept per file (Section 3.1.3).
   int max_neighbors = 20;

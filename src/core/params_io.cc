@@ -58,6 +58,11 @@ StatusOr<SeerParams> ParseSeerParams(std::string_view text, const SeerParams& ba
     bool ok = true;
     if (key == "n") {
       ok = ParseNum(value, &params.max_neighbors) && params.max_neighbors > 0;
+      if (ok && params.max_neighbors > kMaxNeighbors) {
+        std::ostringstream message;
+        message << "n " << params.max_neighbors << " exceeds the limit of " << kMaxNeighbors;
+        return Fail(line_number, message.str());
+      }
     } else if (key == "M") {
       ok = ParseNum(value, &params.distance_horizon) && params.distance_horizon > 0;
     } else if (key == "kn") {

@@ -4,7 +4,7 @@
 // file so deployments and the parameter-search harness need no recompile:
 //
 //   # comment
-//   n 20              # neighbors per file
+//   n 20              # neighbors per file, at most kMaxNeighbors
 //   M 100             # update horizon
 //   kn 10             # combine threshold
 //   kf 6              # overlap threshold

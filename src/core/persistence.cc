@@ -21,6 +21,7 @@
 #include "src/core/params_io.h"
 #include "src/trace/trace_io.h"
 #include "src/util/bytes.h"
+#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -78,7 +79,7 @@ void Correlator::DumpText(std::ostream& out) const {
 // --- snapshot ------------------------------------------------------------------
 
 StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshot(std::string_view bytes) {
-  return DecodeSnapshotChain({bytes}, nullptr);
+  return DecodeSnapshotChain({bytes});
 }
 
 std::string Correlator::EncodeSnapshot() const {
@@ -235,7 +236,19 @@ Status DecodeStripeInPlace(std::string_view payload, uint32_t expect_index,
 
 }  // namespace
 
-StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshotChain(
+// Friend of Correlator, so the decode can fill its members in place.
+class SnapshotChainDecoder {
+ public:
+  static StatusOr<std::unique_ptr<Correlator>> Decode(
+      const std::vector<std::string_view>& chain, ThreadPool* pool);
+};
+
+StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
+    const std::vector<std::string_view>& chain, ThreadPool* pool) {
+  return SnapshotChainDecoder::Decode(chain, pool);
+}
+
+StatusOr<std::unique_ptr<Correlator>> SnapshotChainDecoder::Decode(
     const std::vector<std::string_view>& chain, ThreadPool* pool) {
   if (chain.empty()) {
     return Status::InvalidArgument("snapshot chain: empty");

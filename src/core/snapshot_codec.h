@@ -43,6 +43,7 @@
 #define SRC_CORE_SNAPSHOT_CODEC_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +56,7 @@
 
 namespace seer {
 
+class Correlator;
 class ThreadPool;
 
 // Everything a checkpoint needs, deep-copied from the correlator at the
@@ -116,6 +118,12 @@ struct CheckpointStats {
 // concurrently on `pool` (nullptr encodes serially); assembly order is
 // fixed, so the output is byte-identical at any thread count.
 std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool);
+
+// Decodes a base snapshot plus its delta chain (oldest first; a single
+// full snapshot is the one-element chain). Relation stripes decode
+// concurrently on `pool` straight into the slab; nullptr decodes serially.
+StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
+    const std::vector<std::string_view>& chain, ThreadPool* pool = nullptr);
 
 // Reads the META header of a snapshot. Cheap: touches only the magic and
 // the META section, CRC-checked.

@@ -184,7 +184,7 @@ StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams&
       Status failure = LoadChain(snapshots, h, &chain_bytes);
       if (failure.ok()) {
         const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
-        auto decoded = Correlator::DecodeSnapshotChain(views, pool);
+        auto decoded = DecodeSnapshotChain(views, pool);
         if (decoded.ok()) {
           result.correlator = *std::move(decoded);
           result.generation = snapshots[h].generation;
@@ -411,7 +411,7 @@ Status SnapshotStore::Verify(bool deep) const {
       }
     }
     const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
-    const auto decoded = Correlator::DecodeSnapshotChain(views, nullptr);
+    const auto decoded = DecodeSnapshotChain(views);
     if (!decoded.ok()) {
       return Status::DataLoss("newest snapshot chain damaged: " + decoded.status().message());
     }

@@ -4,7 +4,7 @@
 // machine. A hoard *service* inverts that: many devices (tenants) stream
 // references into one server process, each getting its own Correlator +
 // relation-table slab + HoardDaemon, while the expensive shared resources
-// — the worker ThreadPool and the checkpoint plane — are multiplexed
+// — the snapshot ThreadPool and the checkpoint plane — are multiplexed
 // across all of them. TenantRouter is that server plane:
 //
 //   * SinkFor(t) returns tenant t's ingress — a TenantScopedSink with a
@@ -12,10 +12,11 @@
 //     router resolves every callback to the tenant's DurableCorrelator,
 //     creating the tenant on first reference and transparently restoring
 //     it if it was evicted.
-//   * One shared ThreadPool runs every tenant's cluster scoring,
-//     recovery decode, and snapshot encode. Pools are
-//     never created per tenant; contended dispatches fall back to inline
-//     execution (see ThreadPool), so results are unchanged.
+//   * One shared ThreadPool runs every tenant's recovery decode and
+//     snapshot encode. Pools are never created per tenant; contended
+//     dispatches fall back to inline execution (see ThreadPool), so
+//     results are unchanged. Cluster scoring and hoard fills run on the
+//     calling thread.
 //   * Tick(now) drives the control plane: harvest finished background
 //     checkpoints, start due ones under a max_checkpoints_inflight
 //     budget (per-tenant due times staggered across the interval so the
@@ -81,8 +82,8 @@ struct TenantRouterConfig {
   SeerParams defaults;
   SnapshotStoreOptions store_options;
 
-  // Shared worker pool size; 0 selects DefaultThreadCount() (SEER_THREADS
-  // else hardware concurrency).
+  // Snapshot encode/decode pool size; 0 selects DefaultThreadCount()
+  // (SEER_THREADS else hardware concurrency).
   int threads = 0;
 
   // --- residency budget --------------------------------------------------
@@ -230,7 +231,6 @@ class TenantRouter {
   // cannot return Status). Ok when healthy.
   const Status& last_error() const { return last_error_; }
 
-  ThreadPool* pool() { return &pool_; }
   const std::string& root() const { return root_; }
 
  private:

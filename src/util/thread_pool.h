@@ -1,11 +1,12 @@
 // A small chunked-parallel-for thread pool.
 //
-// SEER's batch phases (cluster scoring, CSR packing) are embarrassingly
-// parallel over files once the relation lists are fixed, so the only
-// primitive needed is a blocking parallel-for with dynamic load balancing:
-// callers split their work into chunks, workers claim chunks from a shared
-// atomic counter (cheap work stealing), and ParallelChunks returns when
-// every chunk has run. The calling thread participates, so a pool built
+// Its users are the snapshot codec: a checkpoint encodes its relation
+// stripe sections concurrently (EncodeSealedSnapshot), and recovery
+// decodes them concurrently straight into the slab (DecodeSnapshotChain).
+// Each stripe is independent, so the only primitive needed is a blocking
+// parallel-for with dynamic load balancing: callers split their work into
+// chunks, workers claim chunks from a shared atomic counter (cheap work
+// stealing), and ParallelChunks returns when every chunk has run. The calling thread participates, so a pool built
 // with threads == 1 spawns no workers at all and runs strictly inline —
 // the serial and parallel code paths are the same code.
 //
@@ -15,8 +16,8 @@
 // inside any chunk, whether it ran on a worker or on the dispatching
 // thread itself — degrades to running its chunks inline on the calling
 // thread. Inline execution is the same code as the serial path, so
-// sharing one pool across subsystems (the multi-tenant router multiplexes
-// ingest, cluster scoring, and checkpoint encode over a single pool) never
+// sharing one pool (the multi-tenant router multiplexes every tenant's
+// checkpoint encode and restore decode over a single pool) never
 // deadlocks and never changes results, only the degree of parallelism.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_

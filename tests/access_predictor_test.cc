@@ -59,7 +59,7 @@ TEST(AccessPredictor, PrefetchSetCoversCluster) {
   AccessPredictor predictor;
   for (int i = 0; i < 8; ++i) {
     for (int k = 0; k < 13; ++k) {
-      predictor.OnAccess("g" + std::to_string(k));
+      predictor.OnAccess(std::string("g").append(std::to_string(k)));
     }
   }
   const auto set = predictor.PrefetchSet("g0");
@@ -73,7 +73,7 @@ TEST(AccessPredictor, RespectsLimit) {
   AccessPredictor predictor;
   for (int i = 0; i < 4; ++i) {
     for (int k = 0; k < 12; ++k) {
-      predictor.OnAccess("k" + std::to_string(k));
+      predictor.OnAccess(std::string("k").append(std::to_string(k)));
     }
   }
   EXPECT_LE(predictor.PredictRelated("k0", 3).size(), 3u);

@@ -90,7 +90,7 @@ TEST(CheckpointPlane, V1SnapshotIsUnsupported) {
         << entry << ": " << status.message();
   };
   expect_unsupported(Correlator::DecodeSnapshot(v1).status(), "DecodeSnapshot");
-  expect_unsupported(Correlator::DecodeSnapshotChain({v1}).status(), "DecodeSnapshotChain");
+  expect_unsupported(DecodeSnapshotChain({v1}).status(), "DecodeSnapshotChain");
   expect_unsupported(ReadSnapshotMeta(v1).status(), "ReadSnapshotMeta");
   expect_unsupported(VerifySnapshotSections(v1), "VerifySnapshotSections");
 
@@ -196,7 +196,7 @@ TEST(CheckpointPlane, DeltaChainRecoveryMatchesFullSnapshot) {
     const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
     for (const int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      const auto folded = Correlator::DecodeSnapshotChain(views, &pool);
+      const auto folded = DecodeSnapshotChain(views, &pool);
       ASSERT_TRUE(folded.ok()) << folded.status();
       EXPECT_EQ((*folded)->EncodeSnapshot(), live)
           << "seed " << seed << " threads " << threads;

@@ -1,7 +1,8 @@
-// Determinism guarantees of the parallel/incremental clustering engine:
+// Determinism guarantees of the incremental clustering engine:
 //
-//   * the ClusterSet is bit-identical at any thread count (scoring is
-//     parallel but pure per-edge; the union/emit order is fixed);
+//   * the ClusterSet is bit-identical however many independent builders
+//     run at once (scoring is pure per-edge; the union/emit order is
+//     fixed);
 //   * an incremental rebuild (cached edge buckets, dirty-set rescore, label
 //     replay) produces exactly what a from-scratch full build produces,
 //     including across deletes, renames, and exclusions;
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,8 +95,30 @@ std::vector<Event> RandomRefs(std::mt19937* rng, const std::string& ns, int file
   return events;
 }
 
-// Identical streams into builders pinned at 1, 2, and 8 threads must yield
-// identical ClusterSets — on the cold build and on a warm incremental one.
+// Runs `threads` independent correlators at once, each applying `cold`
+// and building, then applying `touch` and building again (the warm,
+// incremental build). Builders share no mutable state beyond the
+// thread-safe path interner, so every result must equal the serial one.
+std::vector<std::pair<ClusterSet, ClusterSet>> ConcurrentBuilds(const std::vector<Event>& cold,
+                                                               const std::vector<Event>& touch,
+                                                               int threads) {
+  std::vector<std::pair<ClusterSet, ClusterSet>> results(static_cast<size_t>(threads));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&cold, &touch, &results, t] {
+      Correlator c;
+      Apply(&c, cold);
+      results[static_cast<size_t>(t)].first = c.BuildClusters();
+      Apply(&c, touch);
+      results[static_cast<size_t>(t)].second = c.BuildClusters();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  return results;
+}
+
+// Identical streams into 1, 2 and 8 builders running at once must yield
+// the serial ClusterSets — on the cold build and on a warm incremental one.
 TEST(ClusterDeterminism, ThreadCountInvariance) {
   std::mt19937 rng(20260806);
   Time t = 0;
@@ -101,30 +126,19 @@ TEST(ClusterDeterminism, ThreadCountInvariance) {
   const std::vector<Event> touch = RandomRefs(&rng, "tc", 96, 30, &t);
 
   Correlator serial;
-  Correlator two;
-  Correlator eight;
-  serial.SetClusterThreads(1);
-  two.SetClusterThreads(2);
-  eight.SetClusterThreads(8);
-
-  for (Correlator* c : {&serial, &two, &eight}) {
-    Apply(c, cold);
-  }
+  Apply(&serial, cold);
   const ClusterSet cold1 = serial.BuildClusters();
-  const ClusterSet cold2 = two.BuildClusters();
-  const ClusterSet cold8 = eight.BuildClusters();
   ASSERT_FALSE(cold1.clusters.empty());
-  EXPECT_TRUE(SameClusterSet(cold1, cold2));
-  EXPECT_TRUE(SameClusterSet(cold1, cold8));
-
-  for (Correlator* c : {&serial, &two, &eight}) {
-    Apply(c, touch);
-  }
+  Apply(&serial, touch);
   const ClusterSet warm1 = serial.BuildClusters();
-  const ClusterSet warm2 = two.BuildClusters();
-  const ClusterSet warm8 = eight.BuildClusters();
-  EXPECT_TRUE(SameClusterSet(warm1, warm2));
-  EXPECT_TRUE(SameClusterSet(warm1, warm8));
+
+  for (const int threads : {1, 2, 8}) {
+    const auto got = ConcurrentBuilds(cold, touch, threads);
+    for (size_t w = 0; w < got.size(); ++w) {
+      EXPECT_TRUE(SameClusterSet(cold1, got[w].first)) << "threads=" << threads << " worker=" << w;
+      EXPECT_TRUE(SameClusterSet(warm1, got[w].second)) << "threads=" << threads << " worker=" << w;
+    }
+  }
 }
 
 // Two correlators over the same randomized stream — one rebuilding

@@ -1,4 +1,6 @@
 // Tests for the control-file and parameter-file parsers.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/core/params_io.h"
@@ -157,6 +159,22 @@ TEST(ParamsIo, RejectsUnknownKeyAndBadValues) {
   EXPECT_FALSE(ParseSeerParams("bogus 1\n").has_value());
   EXPECT_FALSE(ParseSeerParams("n zero\n").has_value());
   EXPECT_FALSE(ParseSeerParams("distance psychic\n").has_value());
+}
+
+// A params file may ask for at most kMaxNeighbors neighbor slots per file:
+// the slab is sized files x n, so a larger n is a typed error, not an
+// allocation.
+TEST(ParamsIo, RejectsNeighborCountAboveLimit) {
+  const auto at_limit = ParseSeerParams(std::string("n ").append(std::to_string(kMaxNeighbors)));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(at_limit->max_neighbors, kMaxNeighbors);
+  const std::string above = std::string("n ").append(std::to_string(kMaxNeighbors + 1));
+  for (const std::string& text : {above, std::string("n 2000000000\n")}) {
+    const auto params = ParseSeerParams(text);
+    ASSERT_FALSE(params.ok()) << text;
+    EXPECT_EQ(params.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(params.status().message().find("limit"), std::string::npos) << text;
+  }
 }
 
 TEST(ParamsIo, FormatRoundTrips) {

@@ -236,7 +236,7 @@ TEST(EdgeCases, ManyOpenFilesInOneProcess) {
   const Pid p = procs.SpawnInit(1000, "/d");
   std::vector<Fd> fds;
   for (int i = 0; i < 200; ++i) {
-    const auto r = tracer.Open(p, "f" + std::to_string(i), false);
+    const auto r = tracer.Open(p, std::string("f").append(std::to_string(i)), false);
     ASSERT_TRUE(r.ok());
     fds.push_back(r.fd);
   }

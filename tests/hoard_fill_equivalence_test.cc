@@ -1,11 +1,13 @@
 // Equivalence tests for the incremental hoard-fill plane: a warm
-// HoardManager (cached cluster aggregates, any thread count) must produce a
-// selection byte-identical to a cold scratch fill after arbitrary
-// touch/delete/rename churn. This is the determinism contract the bench and
-// the tenant router rely on.
+// HoardManager (cached cluster aggregates) must produce a selection
+// byte-identical to a cold scratch fill after arbitrary touch/delete/rename
+// churn, however many independent managers fill at once. This is the
+// determinism contract the bench and the tenant router rely on.
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,15 +28,14 @@ FileReference Ref(Pid pid, const std::string& path, Time time) {
   return r;
 }
 
-// Pure, thread-safe size oracle (the SizeFn contract).
+// Pure size oracle (the SizeFn contract); stateless, so managers filling
+// at once may share it.
 uint64_t SizeOf(PathId p) {
   return 64 + (static_cast<uint64_t>(p) * 2654435761ull) % 512;
 }
 
 // A correlator populated with `projects` investigator-bound projects, plus
-// seeded random churn (touch / delete / rename) between fills. Project
-// counts are chosen large enough that cold fills cross the serial cutoff
-// and actually dispatch to the pool.
+// seeded random churn (touch / delete / rename) between fills.
 class ChurnHarness {
  public:
   ChurnHarness(uint32_t seed, size_t projects, size_t files_per,
@@ -112,12 +113,11 @@ void ExpectSameSelection(const HoardSelection& want, const HoardSelection& got,
   EXPECT_EQ(want.projects_skipped, got.projects_skipped) << what;
 }
 
-// A cold single-threaded fill: the ground truth each round is compared to.
+// A cold fill: the ground truth each round is compared to.
 HoardSelection ScratchFill(const ChurnHarness& h, const ClusterSet& clusters,
                            uint64_t budget, const std::set<PathId>& always,
                            const std::set<PathId>& pins, bool partial) {
   HoardManager scratch(budget);
-  scratch.set_threads(1);
   scratch.set_incremental_fill(false);
   scratch.set_allow_partial_projects(partial);
   for (const PathId p : pins) {
@@ -126,16 +126,65 @@ HoardSelection ScratchFill(const ChurnHarness& h, const ClusterSet& clusters,
   return scratch.ChooseHoard(h.correlator(), clusters, always, SizeOf);
 }
 
+using Managers = std::vector<std::unique_ptr<HoardManager>>;
+
+// Groups of 1, 2 and 8 warm managers; each group fills at once every round.
+std::vector<Managers> ManagerGroups(uint64_t budget, bool partial,
+                                    const std::set<PathId>& pins) {
+  std::vector<Managers> groups;
+  for (const int n : {1, 2, 8}) {
+    Managers group;
+    for (int i = 0; i < n; ++i) {
+      group.push_back(std::make_unique<HoardManager>(budget));
+      group.back()->set_allow_partial_projects(partial);
+      for (const PathId p : pins) {
+        group.back()->Pin(p);
+      }
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+// Runs every manager of `group` at once, one thread each. Managers share
+// only read-only inputs (the correlator, the cluster set, the thread-safe
+// path interner and the pure size oracle), so each selection must equal
+// the serial scratch fill whatever the group size.
+std::vector<HoardSelection> FillConcurrently(const Managers& group, const ChurnHarness& h,
+                                             const ClusterSet& clusters,
+                                             const std::set<PathId>& always) {
+  std::vector<HoardSelection> out(group.size());
+  std::vector<std::thread> workers;
+  for (size_t i = 0; i < group.size(); ++i) {
+    workers.emplace_back([&, i] {
+      out[i] = group[i]->ChooseHoard(h.correlator(), clusters, always, SizeOf);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  return out;
+}
+
+// Every group's selections against `want`.
+void ExpectGroupsMatch(const HoardSelection& want, const std::vector<Managers>& groups,
+                       const ChurnHarness& h, const ClusterSet& clusters,
+                       const std::set<PathId>& always, const std::string& what) {
+  for (const Managers& group : groups) {
+    const std::vector<HoardSelection> got = FillConcurrently(group, h, clusters, always);
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectSameSelection(want, got[i],
+                          what + " group " + std::to_string(group.size()) + " manager " +
+                              std::to_string(i));
+    }
+  }
+}
+
 TEST(HoardFill, IncrementalMatchesScratchUnderChurn) {
   ChurnHarness h(0xC0FFEE, /*projects=*/600, /*files_per=*/2, "/eqchurn");
   const uint64_t budget = 130'000;  // ~a third of the expected byte total
   const std::set<PathId> always;
 
-  HoardManager inc1(budget), inc2(budget), inc8(budget);
-  inc1.set_threads(1);
-  inc2.set_threads(2);
-  inc8.set_threads(8);
-  HoardManager* const warm[] = {&inc1, &inc2, &inc8};
+  const std::vector<Managers> groups = ManagerGroups(budget, /*partial=*/false, {});
+  const HoardManager& single = *groups[0][0];
 
   for (int round = 0; round < 8; ++round) {
     if (round > 0) {
@@ -144,24 +193,20 @@ TEST(HoardFill, IncrementalMatchesScratchUnderChurn) {
       if (round % 3 == 0) h.RenameRandom(3, round);
     }
     if (round == 4) {
-      // Mid-sequence cold parallel fill: the cache drop must be invisible.
-      inc8.InvalidateFillCache();
+      // Mid-sequence cold fills: the cache drop must be invisible.
+      for (const auto& m : groups[2]) {
+        m->InvalidateFillCache();
+      }
     }
     const ClusterSet clusters = h.correlator().BuildClusters();
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/false);
     ASSERT_FALSE(want.files.empty());
-    for (HoardManager* m : warm) {
-      const HoardSelection got =
-          m->ChooseHoard(h.correlator(), clusters, always, SizeOf);
-      ExpectSameSelection(want, got,
-                          "round " + std::to_string(round) + " threads " +
-                              std::to_string(m->threads()));
-    }
+    ExpectGroupsMatch(want, groups, h, clusters, always, "round " + std::to_string(round));
     if (round > 0 && round != 4) {
       // Small churn must hit the cache: a handful of dirty clusters, the
       // rest reused without a member walk.
-      const HoardFillStats& s = inc1.last_fill_stats();
+      const HoardFillStats& s = single.last_fill_stats();
       EXPECT_TRUE(s.incremental) << "round " << round;
       EXPECT_GT(s.reused_aggregates, s.dirty_clusters) << "round " << round;
       EXPECT_LE(s.dirty_clusters, 64u) << "round " << round;
@@ -176,11 +221,7 @@ TEST(HoardFill, PartialFillAblationMatches) {
   const uint64_t budget = 20'000;
   const std::set<PathId> always;
 
-  HoardManager inc1(budget), inc8(budget);
-  inc1.set_threads(1);
-  inc8.set_threads(8);
-  inc1.set_allow_partial_projects(true);
-  inc8.set_allow_partial_projects(true);
+  const std::vector<Managers> groups = ManagerGroups(budget, /*partial=*/true, {});
 
   for (int round = 0; round < 6; ++round) {
     if (round > 0) {
@@ -192,12 +233,8 @@ TEST(HoardFill, PartialFillAblationMatches) {
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/true);
     ASSERT_GT(want.files.size(), 0u);
-    for (HoardManager* m : {&inc1, &inc8}) {
-      const HoardSelection got =
-          m->ChooseHoard(h.correlator(), clusters, always, SizeOf);
-      ExpectSameSelection(want, got,
-                          "partial round " + std::to_string(round));
-    }
+    ExpectGroupsMatch(want, groups, h, clusters, always,
+                      "partial round " + std::to_string(round));
   }
 }
 
@@ -213,11 +250,7 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
   std::set<PathId> always = {P("/eqpin/p0/f0"), P("/eqpin/p5/f2"),
                              P("/eqpin/outside/critical")};
 
-  HoardManager inc2(budget);
-  inc2.set_threads(2);
-  for (const PathId p : pins) {
-    inc2.Pin(p);
-  }
+  const std::vector<Managers> groups = ManagerGroups(budget, /*partial=*/false, pins);
 
   for (int round = 0; round < 5; ++round) {
     if (round > 0) {
@@ -228,14 +261,12 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
     const ClusterSet clusters = h.correlator().BuildClusters();
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, pins, /*partial=*/false);
-    const HoardSelection got =
-        inc2.ChooseHoard(h.correlator(), clusters, always, SizeOf);
-    ExpectSameSelection(want, got, "pin round " + std::to_string(round));
+    ExpectGroupsMatch(want, groups, h, clusters, always, "pin round " + std::to_string(round));
     for (const PathId p : pins) {
-      EXPECT_TRUE(got.Contains(p));
+      EXPECT_TRUE(want.Contains(p));
     }
     for (const PathId p : always) {
-      EXPECT_TRUE(got.Contains(p));
+      EXPECT_TRUE(want.Contains(p));
     }
   }
 }
@@ -246,7 +277,6 @@ TEST(HoardFill, DisabledIncrementalAlwaysRewalks) {
   ChurnHarness h(0xABba, /*projects=*/40, /*files_per=*/3, "/eqcold");
   const uint64_t budget = 15'000;
   HoardManager m(budget);
-  m.set_threads(1);
   m.set_incremental_fill(false);
   const std::set<PathId> always;
 

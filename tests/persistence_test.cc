@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include "src/core/correlator.h"
+#include "src/core/params_io.h"
+#include "src/core/snapshot_store.h"
+#include "src/util/fs.h"
 #include "tests/snapshot_surgery.h"
 
 namespace seer {
 namespace {
 
 using snapshot_internal::kTagFiles;
+using snapshot_internal::kTagParams;
 using snapshot_internal::kTagPaths;
 using snapshot_internal::kTagStreams;
 using snapshot_internal::kTagStripe;
@@ -276,6 +280,37 @@ TEST(Persistence, HostileSectionCountsAreDataLoss) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << site.name;
     }
   }
+}
+
+// A CRC-valid snapshot whose params ask for n = 2,000,000,000 neighbor
+// slots: the restore would size the relation slab files x n. Decode and
+// store recovery must both end in kDataLoss before any such allocation.
+TEST(Persistence, HostileNeighborCountIsDataLoss) {
+  Correlator original;
+  Populate(&original);
+  SeerParams hostile_params = original.params();
+  hostile_params.max_neighbors = 2'000'000'000;
+  const std::string hostile =
+      ResealSections(original.EncodeSnapshot(), [&](size_t, uint32_t tag, std::string* payload) {
+        if (tag == kTagParams) {
+          ByteWriter w;
+          w.PutString(FormatSeerParams(hostile_params));
+          *payload = w.Take();
+        }
+      });
+  ASSERT_FALSE(hostile.empty());
+
+  const auto loaded = Correlator::DecodeSnapshot(hostile);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+
+  MemFs fs;
+  SnapshotStore store(&fs, "/store");
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(fs.WriteFile(store.SnapshotPath(1), hostile).ok());
+  const auto recovered = store.Recover();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

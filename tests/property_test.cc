@@ -346,7 +346,7 @@ TEST_P(VfsProperty, AgreesWithSetModel) {
 
   for (int step = 0; step < 2'000; ++step) {
     const int action = static_cast<int>(rng.NextBounded(4));
-    const std::string name = "n" + std::to_string(rng.NextBounded(6));
+    const std::string name = std::string("n").append(std::to_string(rng.NextBounded(6)));
     const std::string dir = random_dir();
     const std::string path = join(dir, name);
     if (action == 0) {  // mkdir
@@ -366,7 +366,7 @@ TEST_P(VfsProperty, AgreesWithSetModel) {
       EXPECT_EQ(st == VfsStatus::kOk, model_files.count(path) == 1);
       model_files.erase(path);
     } else {  // rename file to a sibling name
-      const std::string to = join(dir, "m" + std::to_string(rng.NextBounded(6)));
+      const std::string to = join(dir, std::string("m").append(std::to_string(rng.NextBounded(6))));
       if (model_files.count(path) != 0 && model_dirs.count(to) == 0) {
         const VfsStatus st = fs.Rename(path, to);
         if (st == VfsStatus::kOk) {

@@ -96,7 +96,7 @@ TEST(RelationTable, ListCappedAtN) {
   RelationHarness h;
   const FileId a = h.Id("a");
   for (int i = 0; i < 10; ++i) {
-    h.table().Observe(a, h.Id("n" + std::to_string(i)), 5.0);
+    h.table().Observe(a, h.Id(std::string("n").append(std::to_string(i))), 5.0);
   }
   EXPECT_EQ(h.table().NeighborsOf(a).size(), 3u);
 }
@@ -163,7 +163,7 @@ TEST(RelationTable, AgingAllowsReplacement) {
   // Generate many updates elsewhere to age the entries.
   const FileId busy = h.Id("busy");
   for (int i = 0; i < 20; ++i) {
-    h.table().Observe(busy, h.Id("t" + std::to_string(i % 2)), 1.0);
+    h.table().Observe(busy, h.Id(std::string("t").append(std::to_string(i % 2))), 1.0);
   }
   // Keep n1 and n2 fresh; old_nb stays stale.
   h.table().Observe(a, h.Id("n1"), 1.0);

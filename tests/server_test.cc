@@ -967,6 +967,26 @@ TEST(TenantRouterAux, PinsAndMissLogSurviveRestart) {
   ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
 }
 
+// An n above kMaxNeighbors is refused on both ingress paths, `params set`
+// and a params.seer file found on restore, as a typed error: the tenant's
+// slab would be sized files x n.
+TEST(TenantRouterAux, NeighborCountAboveLimitIsRejected) {
+  MemFs fs;
+  TenantRouter router(&fs, "/srv", BaseRouterConfig(1));
+  const std::string hostile = "n 2000000000\n";
+
+  const Status set = router.SetTenantParams(6, hostile);
+  EXPECT_EQ(StatusCode::kInvalidArgument, set.code()) << set.message();
+  EXPECT_FALSE(fs.Exists(SnapshotStore::TenantDirectory("/srv", 6) + "/params.seer"));
+
+  const std::string dir = SnapshotStore::TenantDirectory("/srv", 7);
+  ASSERT_TRUE(fs.MakeDirs(dir).ok());
+  ASSERT_TRUE(fs.WriteFile(dir + "/params.seer", hostile).ok());
+  const auto opened = router.CorrelatorFor(7);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, opened.status().code());
+}
+
 TEST(TenantRouterAux, EvictionPersistsAndRestorePreservesPins) {
   MemFs fs;
   TenantRouter router(&fs, "/srv", BaseRouterConfig(1));

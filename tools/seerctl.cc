@@ -176,7 +176,7 @@ const char* PositionalAt(int argc, char** argv, int start, int index) {
 
 // Validated value of --threads K / --threads=K at or after `start`; 0 when
 // the flag is absent. An invalid count is fatal: silently running at the
-// wrong width would change every parallel phase's sizing.
+// wrong width would change the snapshot pool's sizing.
 int ThreadsFlagOrDie(int argc, char** argv, int start) {
   const char* value = nullptr;
   for (int i = start; i < argc; ++i) {
@@ -580,12 +580,6 @@ int ClusterStats(int argc, char** argv, int start) {
     return 2;
   }
   auto correlator = LoadDbOrDie(path).correlator;
-
-  const int threads = ThreadsFlagOrDie(argc, argv, start);
-  if (threads > 0) {
-    correlator->SetClusterThreads(threads);
-  }
-
   const ClusterSet clusters = correlator->BuildClusters();
   const ClusterBuildStats& stats = correlator->last_cluster_stats();
   size_t multi = 0;
@@ -594,9 +588,8 @@ int ClusterStats(int argc, char** argv, int start) {
       ++multi;
     }
   }
-  std::printf("%zu clusters (%zu multi-file) from %zu candidates in %.2f ms on %d thread%s\n",
-              clusters.clusters.size(), multi, stats.candidates, stats.build_ms, stats.threads,
-              stats.threads == 1 ? "" : "s");
+  std::printf("%zu clusters (%zu multi-file) from %zu candidates in %.2f ms\n",
+              clusters.clusters.size(), multi, stats.candidates, stats.build_ms);
   if (HasFlag(argc, argv, start, "--stats")) {
     std::printf("  build mode:     %s\n", stats.incremental ? "incremental" : "full");
     std::printf("  dirty files:    %zu\n", stats.dirty_files);
@@ -642,8 +635,7 @@ int Hoard(int argc, char** argv, int start) {
               sel.projects_skipped);
   if (HasFlag(argc, argv, start, "--stats")) {
     const HoardFillStats& stats = manager.last_fill_stats();
-    std::printf("# fill: %.2f ms on %d thread%s\n", stats.fill_ms, stats.threads,
-                stats.threads == 1 ? "" : "s");
+    std::printf("# fill: %.2f ms\n", stats.fill_ms);
     std::printf("#   fill mode:      %s\n", stats.incremental ? "incremental" : "scratch");
     std::printf("#   clusters:       %zu\n", stats.clusters);
     std::printf("#   reused aggs:    %zu\n", stats.reused_aggregates);
@@ -1504,17 +1496,14 @@ const std::vector<Subcommand>& Commands() {
        "Dump the project clusters of the database in store DIR.\n\n"
        "  --min-size N   only clusters with at least N members (default 2)\n",
        Clusters},
-      {"cluster", "cluster DIR [--stats] [--threads K]",
-       "Build project clusters with the parallel engine and print build\n"
-       "statistics.\n\n"
-       "  --stats        also print dirty-set size, rescored files, edges\n"
-       "  --threads K    scoring threads (default: SEER_THREADS, else all\n"
-       "                 cores); --threads=K is accepted too\n",
+      {"cluster", "cluster DIR [--stats]",
+       "Build project clusters and print build statistics.\n\n"
+       "  --stats        also print dirty-set size, rescored files, edges\n",
        ClusterStats},
       {"hoard", "hoard DIR --budget-mb MB [--stats]",
        "Compute hoard contents from the database in store DIR under a space\n"
        "budget. --stats prints the fill-plane breakdown (aggregate cache\n"
-       "hits, phase times, thread count).\n",
+       "hits, phase times).\n",
        Hoard},
       {"check-config", "check-config FILE",
        "Validate a system control file and echo the parsed configuration.\n", CheckConfig},
@@ -1539,12 +1528,13 @@ const std::vector<Subcommand>& Commands() {
       {"serve", "serve ROOT --socket SPEC [--threads K] [--io-threads K] [--params FILE] [--control FILE]",
        "Run the hoard service: listen on SPEC (unix:PATH, tcp:HOST:PORT,\n"
        "or a bare UDS path), shard connections over the I/O threads, route\n"
-       "kEvents frames into per-tenant correlators over one shared pool,\n"
-       "and answer the control protocol (src/server/service.h). Runs until\n"
+       "kEvents frames into per-tenant correlators (snapshots encode and\n"
+       "decode on one shared pool), and answer the control protocol\n"
+       "(src/server/service.h). Runs until\n"
        "`seerctl tenant shutdown --socket SPEC`, then seals and\n"
        "checkpoints every resident tenant.\n\n"
        "  --socket SPEC             endpoint to listen on (required)\n"
-       "  --threads K               shared worker pool width\n"
+       "  --threads K               snapshot encode/decode pool width\n"
        "  --io-threads K            connection shards (default: SEER_THREADS,\n"
        "                            else all cores)\n"
        "  --params FILE             fleet-default correlator parameters\n"
