@@ -18,7 +18,7 @@
 #include <string>
 #include <thread>
 
-#include "src/util/thread_pool.h"
+#include "src/util/thread_count.h"
 
 namespace seer {
 namespace bench {
@@ -65,10 +65,10 @@ inline int HostCpus() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-// The thread count the engine will actually use: a validated SEER_THREADS
-// override, else hardware concurrency. An invalid SEER_THREADS aborts the
-// bench — silently benchmarking at the wrong width poisons every number
-// downstream.
+// The default I/O shard count of the hoard service: a validated
+// SEER_THREADS override, else hardware concurrency. An invalid SEER_THREADS
+// aborts the bench — silently benchmarking at the wrong width poisons every
+// number downstream.
 inline int EffectiveSeerThreads() {
   const StatusOr<int> env = SeerThreadsFromEnv();
   if (!env.ok()) {

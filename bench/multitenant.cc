@@ -1,7 +1,7 @@
 // Multi-tenant server plane at fleet scale.
 //
 // Drives the TenantRouter with a synthetic fleet of tenants streaming
-// interleaved references over ONE shared pool, with the staggered
+// interleaved references through one router, with the staggered
 // checkpoint scheduler and the memory-budget eviction pass running on a
 // periodic Tick — the production shape of the hoard service. Reports the
 // aggregate numbers that matter for capacity planning: fleet ingest rate,
@@ -136,20 +136,18 @@ uint64_t Percentile(std::vector<uint64_t> v, double p) {
 int main() {
   using namespace seer;
   bench::PrintHeader(
-      "Multi-tenant hoard service: one shared pool, staggered checkpoints,\n"
+      "Multi-tenant hoard service: one router, staggered checkpoints,\n"
       "budgeted residency — fleet ingest rate and per-tenant footprint");
 
   const size_t tenants =
       EnvSize("SEER_MT_TENANTS", bench::FullScale() ? 10'000 : 1'000);
   const size_t refs_per_tenant = EnvSize("SEER_MT_REFS", bench::FullScale() ? 1'000 : 400);
-  const int threads = bench::EffectiveSeerThreads();
   const bool socket_mode = EnvSize("SEER_MT_SOCKET", 0) != 0;
-  std::printf("tenants: %zu, refs/tenant: %zu, threads: %d, transport: %s\n\n", tenants,
-              refs_per_tenant, threads, socket_mode ? "unix socket" : "in-process");
+  std::printf("tenants: %zu, refs/tenant: %zu, transport: %s\n\n", tenants, refs_per_tenant,
+              socket_mode ? "unix socket" : "in-process");
 
   MemFs fs;
   TenantRouterConfig config;
-  config.threads = threads;
   config.checkpoint_interval = 20 * kMicrosPerSecond;  // sim-time: many cycles
   config.max_checkpoints_inflight = 2;
   // Keep at most ~1/4 of the fleet resident so the evict/restore path runs
@@ -299,39 +297,6 @@ int main() {
               tenants > 0 ? rss_delta / 1024.0 / tenants : 0.0);
   std::printf("store footprint:   %" PRIu64 " bytes in MemFs\n", fs.TotalBytes());
 
-  // Thread sweep (in-process only): the whole fleet replayed on fresh
-  // routers at pool widths 1/2/4/8. Ingest, clustering and hoard fills run
-  // serially per tenant; the shared pool carries only snapshot encode and
-  // recovery decode, so aggregate refs/s moves with the pool only as far
-  // as checkpoints do. scaling_valid records whether this host covers the
-  // sweep.
-  struct SweepPoint {
-    int threads = 0;
-    double refs_per_sec = 0.0;
-  };
-  constexpr int kMaxSweepThreads = 8;
-  std::vector<SweepPoint> sweep;
-  if (!socket_mode) {
-    bench::WarnIfScalingInvalid("multitenant", kMaxSweepThreads);
-    std::printf("\nfleet thread sweep (fresh router per width):\n");
-    for (const int tc : {1, 2, 4, kMaxSweepThreads}) {
-      MemFs sweep_fs;
-      TenantRouterConfig sweep_config = config;
-      sweep_config.threads = tc;
-      TenantRouter sweep_router(&sweep_fs, "/srv", sweep_config);
-      const auto sweep_start = std::chrono::steady_clock::now();
-      const uint64_t delivered = run_fleet(&sweep_router);
-      const double sweep_elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-              .count();
-      SweepPoint point;
-      point.threads = tc;
-      point.refs_per_sec = sweep_elapsed > 0 ? delivered / sweep_elapsed : 0.0;
-      sweep.push_back(point);
-      std::printf("  threads=%d: %12.0f refs/s\n", tc, point.refs_per_sec);
-    }
-  }
-
   const char* path = "BENCH_multitenant.json";
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -341,7 +306,6 @@ int main() {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"multitenant\",\n");
   bench::WriteJsonMachineMeta(out);
-  bench::WriteJsonScalingValid(out, kMaxSweepThreads);
   std::fprintf(out, "  \"transport\": \"%s\",\n", socket_mode ? "socket" : "inproc");
   if (socket_mode) {
     std::fprintf(out, "  \"frames_received\": %" PRIu64 ",\n", service->frames_received());
@@ -363,13 +327,6 @@ int main() {
   std::fprintf(out, "  \"rss_kb_per_tenant\": %.1f,\n",
                tenants > 0 ? rss_delta / 1024.0 / tenants : 0.0);
   std::fprintf(out, "  \"store_bytes\": %" PRIu64 ",\n", fs.TotalBytes());
-  std::fprintf(out, "  \"thread_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(out, "    {\"threads\": %d, \"aggregate_refs_per_sec\": %.0f}%s\n",
-                 sweep[i].threads, sweep[i].refs_per_sec,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"evictions\": %" PRIu64 ",\n", router.evictions());
   std::fprintf(out, "  \"restores\": %" PRIu64 "\n", router.restores());
   std::fprintf(out, "}\n");

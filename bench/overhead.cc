@@ -40,7 +40,6 @@
 #include "src/core/snapshot_store.h"
 #include "src/core/wal.h"
 #include "src/util/fs.h"
-#include "src/util/thread_pool.h"
 #include "src/observer/observer.h"
 #include "src/observer/sink_chain.h"
 #include "src/process/syscall_tracer.h"
@@ -437,18 +436,15 @@ DurabilityCost MeasureDurability() {
 // ---------------------------------------------------------------------------
 // Checkpoint plane: what ingest actually stalls for under the async
 // checkpoint path (the seal — an owning copy of the state) versus what the
-// old synchronous path stalled for (the whole serial encode), plus the
-// parallel-encode speedup and the delta-snapshot byte economics after a 1%
-// working-set touch. These are the acceptance numbers for the stall-free
-// checkpoint plane.
+// old synchronous path stalled for (the whole encode), plus the
+// delta-snapshot byte economics after a 1% working-set touch. These are
+// the acceptance numbers for the stall-free checkpoint plane.
 // ---------------------------------------------------------------------------
 
 struct CheckpointPlaneCost {
   int files = 0;
   double seal_us = 0.0;             // ingest stall in the async plane
   double encode_serial_us = 0.0;    // old plane's stall: full sync encode
-  double encode_parallel_us = 0.0;  // sharded encode on the pool
-  int encode_threads = 0;
   double full_bytes = 0.0;
   double delta_bytes = 0.0;  // delta snapshot after touching 1% of files
   double delta_ratio = 0.0;
@@ -486,22 +482,11 @@ CheckpointPlaneCost MeasureCheckpointPlane() {
   cost.encode_serial_us = 1e18;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto serial_begin = std::chrono::steady_clock::now();
-    serial = EncodeSealedSnapshot(seal, nullptr);
+    serial = EncodeSealedSnapshot(seal);
     const auto serial_end = std::chrono::steady_clock::now();
     cost.encode_serial_us = std::min(cost.encode_serial_us, us_between(serial_begin, serial_end));
   }
   cost.full_bytes = static_cast<double>(serial.size());
-
-  ThreadPool pool;
-  cost.encode_threads = pool.threads();
-  cost.encode_parallel_us = 1e18;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto parallel_begin = std::chrono::steady_clock::now();
-    const std::string parallel = EncodeSealedSnapshot(seal, &pool);
-    const auto parallel_end = std::chrono::steady_clock::now();
-    cost.encode_parallel_us =
-        std::min(cost.encode_parallel_us, us_between(parallel_begin, parallel_end));
-  }
 
   // Touch ~1% of the files (one project neighborhood — the locality a real
   // working set has) and seal a delta against the full snapshot's cut.
@@ -522,7 +507,7 @@ CheckpointPlaneCost MeasureCheckpointPlane() {
   req.relation_epoch = seal.relation_epoch;
   req.stream_epoch = seal.stream_epoch;
   const SealedSnapshot delta_seal = correlator->SealSnapshot(req);
-  const std::string delta = EncodeSealedSnapshot(delta_seal, &pool);
+  const std::string delta = EncodeSealedSnapshot(delta_seal);
   cost.delta_bytes = static_cast<double>(delta.size());
   cost.delta_ratio = cost.full_bytes > 0 ? cost.delta_bytes / cost.full_bytes : 0.0;
   cost.stall_reduction = cost.seal_us > 0 ? cost.encode_serial_us / cost.seal_us : 0.0;
@@ -886,8 +871,6 @@ void WriteOverheadJson() {
   std::fprintf(out, "    \"files\": %d,\n", plane.files);
   std::fprintf(out, "    \"seal_stall_us\": %.1f,\n", plane.seal_us);
   std::fprintf(out, "    \"encode_serial_us\": %.1f,\n", plane.encode_serial_us);
-  std::fprintf(out, "    \"encode_parallel_us\": %.1f,\n", plane.encode_parallel_us);
-  std::fprintf(out, "    \"encode_threads\": %d,\n", plane.encode_threads);
   std::fprintf(out, "    \"full_bytes\": %.0f,\n", plane.full_bytes);
   std::fprintf(out, "    \"delta_bytes_1pct_touch\": %.0f,\n", plane.delta_bytes);
   std::fprintf(out, "    \"delta_ratio_1pct_touch\": %.4f,\n", plane.delta_ratio);
@@ -921,9 +904,8 @@ void WriteOverheadJson() {
               durability.wal_append_ns_per_record, durability.wal_replay_ns_per_record);
   std::printf(
       "  checkpoint plane (%d files): seal stall %.0f us vs serial encode %.0f us "
-      "(%.1fx smaller)  parallel encode %.0f us (%d threads)\n",
-      plane.files, plane.seal_us, plane.encode_serial_us, plane.stall_reduction,
-      plane.encode_parallel_us, plane.encode_threads);
+      "(%.1fx smaller)\n",
+      plane.files, plane.seal_us, plane.encode_serial_us, plane.stall_reduction);
   std::printf("    delta after 1%% touch: %.0f B of %.0f B full (ratio %.3f)\n",
               plane.delta_bytes, plane.full_bytes, plane.delta_ratio);
   std::printf("  ingest (%zu refs, %d streams): %10.0f refs/sec  %6.3f allocs/ref\n",

@@ -28,16 +28,14 @@ DurableCorrelator::~DurableCorrelator() {
 }
 
 StatusOr<std::unique_ptr<DurableCorrelator>> DurableCorrelator::Open(
-    Fs* fs, std::string dir, const SeerParams& defaults, SnapshotStoreOptions options,
-    ThreadPool* shared_pool) {
+    Fs* fs, std::string dir, const SeerParams& defaults, SnapshotStoreOptions options) {
   SnapshotStore store(fs, std::move(dir), options);
   SEER_RETURN_IF_ERROR(store.Open());
   SEER_ASSIGN_OR_RETURN(SnapshotStore::RecoveryResult recovered,
-                        store.Recover(defaults, shared_pool));
+                        store.Recover(defaults));
 
   auto durable = std::unique_ptr<DurableCorrelator>(
       new DurableCorrelator(std::move(store), std::move(recovered.correlator)));
-  durable->shared_pool_ = shared_pool;
   durable->open_stats_.recovered_generation = recovered.generation;
   durable->open_stats_.fresh = recovered.fresh;
   durable->open_stats_.snapshots_discarded = recovered.snapshots_discarded;
@@ -49,16 +47,6 @@ StatusOr<std::unique_ptr<DurableCorrelator>> DurableCorrelator::Open(
   // crash wreckage is superseded before we take new references.
   SEER_RETURN_IF_ERROR(durable->Checkpoint());
   return durable;
-}
-
-ThreadPool* DurableCorrelator::EncodePool() {
-  if (shared_pool_ != nullptr) {
-    return shared_pool_;
-  }
-  if (encode_pool_ == nullptr) {
-    encode_pool_ = std::make_unique<ThreadPool>();
-  }
-  return encode_pool_.get();
 }
 
 // Each sink call appends to the WAL immediately (event order on disk is the
@@ -160,18 +148,17 @@ Status DurableCorrelator::DoCheckpoint(bool async) {
   pending_relation_epoch_ = seal.relation_epoch;
   pending_stream_epoch_ = seal.stream_epoch;
 
-  ThreadPool* encode_pool = EncodePool();
   const uint64_t full_bytes_before = last_full_bytes_;
   inflight_stats_ = CheckpointStats{};
   inflight_stats_.generation = next;
   inflight_stats_.delta = delta;
 
-  // Encode + atomic write + prune. Pool workers only touch memory; every
-  // Fs operation happens on the thread running this job.
-  auto job = [this, seal = std::move(seal), next, delta, full_bytes_before, encode_pool]() {
+  // Encode + atomic write + prune, every Fs operation on the thread running
+  // this job.
+  auto job = [this, seal = std::move(seal), next, delta, full_bytes_before]() {
     CheckpointStats& stats = inflight_stats_;
     const auto encode_begin = std::chrono::steady_clock::now();
-    const std::string bytes = EncodeSealedSnapshot(seal, encode_pool);
+    const std::string bytes = EncodeSealedSnapshot(seal);
     stats.encode_micros = MicrosSince(encode_begin);
     stats.bytes = bytes.size();
     stats.full_bytes = delta ? full_bytes_before : bytes.size();

@@ -13,8 +13,8 @@
 //   BeginCheckpoint()   flush + sync the outgoing WAL, seal an owning copy
 //                       of the correlator state (SealSnapshot), rotate to
 //                       the new generation's WAL, then hand the sealed copy
-//                       to a background thread that encodes it (parallel
-//                       sharded sections), writes it atomically, and prunes.
+//                       to a background thread that encodes it, writes it
+//                       atomically, and prunes.
 //                       Ingest resumes the moment this returns.
 //   CheckpointDone()    true once the background work has finished.
 //   FinishCheckpoint()  join + harvest: commit the delta cut epochs, record
@@ -22,8 +22,7 @@
 //                       failure the next checkpoint is forced full.
 //   Checkpoint()        the synchronous composition of the three — same
 //                       Fs-op sequence from the calling thread, so
-//                       fault-injection op counting stays deterministic
-//                       (pool threads never touch the Fs).
+//                       fault-injection op counting stays deterministic.
 //
 // Every full_checkpoint_every-th snapshot is full; the ones between are
 // deltas carrying only the relation stripes and streams dirtied since the
@@ -48,7 +47,6 @@
 #include "src/core/wal.h"
 #include "src/util/fs.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -64,13 +62,10 @@ class DurableCorrelator : public ReferenceSink {
   };
 
   // Recovers (or starts fresh) and checkpoints the recovered state as a
-  // new generation. `shared_pool`, when given, runs the recovery decode
-  // and every checkpoint encode — the multi-tenant router opens thousands
-  // of these against one pool. nullptr gives each store a private encode
-  // pool, created on the first checkpoint.
+  // new generation.
   static StatusOr<std::unique_ptr<DurableCorrelator>> Open(
       Fs* fs, std::string dir, const SeerParams& defaults = {},
-      SnapshotStoreOptions options = {}, ThreadPool* shared_pool = nullptr);
+      SnapshotStoreOptions options = {});
 
   // Joins any in-flight checkpoint (its result is discarded unharvested;
   // the snapshot it wrote — if it got that far — is still on disk).
@@ -157,11 +152,6 @@ class DurableCorrelator : public ReferenceSink {
   OpenStats open_stats_;
 
   // --- checkpoint plane -------------------------------------------------
-  // Owned lazily; encodes sealed sections in parallel. Pool workers only
-  // touch memory, never the Fs.
-  std::unique_ptr<ThreadPool> encode_pool_;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides encode_pool_
-  ThreadPool* EncodePool();
   std::thread inflight_thread_;
   bool inflight_active_ = false;           // main-thread view: join pending
   std::atomic<bool> inflight_done_{false};  // set by the background job

@@ -21,7 +21,6 @@
 #include "src/core/params_io.h"
 #include "src/trace/trace_io.h"
 #include "src/util/bytes.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -83,7 +82,7 @@ StatusOr<std::unique_ptr<Correlator>> Correlator::DecodeSnapshot(std::string_vie
 }
 
 std::string Correlator::EncodeSnapshot() const {
-  return EncodeSealedSnapshot(SealSnapshot(), nullptr);
+  return EncodeSealedSnapshot(SealSnapshot());
 }
 
 SealedSnapshot Correlator::SealSnapshot(const SealRequest& req) const {
@@ -240,16 +239,16 @@ Status DecodeStripeInPlace(std::string_view payload, uint32_t expect_index,
 class SnapshotChainDecoder {
  public:
   static StatusOr<std::unique_ptr<Correlator>> Decode(
-      const std::vector<std::string_view>& chain, ThreadPool* pool);
+      const std::vector<std::string_view>& chain);
 };
 
 StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
-    const std::vector<std::string_view>& chain, ThreadPool* pool) {
-  return SnapshotChainDecoder::Decode(chain, pool);
+    const std::vector<std::string_view>& chain) {
+  return SnapshotChainDecoder::Decode(chain);
 }
 
 StatusOr<std::unique_ptr<Correlator>> SnapshotChainDecoder::Decode(
-    const std::vector<std::string_view>& chain, ThreadPool* pool) {
+    const std::vector<std::string_view>& chain) {
   if (chain.empty()) {
     return Status::InvalidArgument("snapshot chain: empty");
   }
@@ -414,7 +413,7 @@ StatusOr<std::unique_ptr<Correlator>> SnapshotChainDecoder::Decode(
   }
   correlator->relations_.SetRngState(rng_state);
 
-  // --- relation stripes, in parallel, in place ------------------------------
+  // --- relation stripes, in place ------------------------------------------
   // Winner per stripe index: the newest file carrying it. Older copies are
   // masked (their data was superseded); absent stripes are all-empty.
   const uint32_t stripe_size = newest.meta.stripe_size;
@@ -429,34 +428,18 @@ StatusOr<std::unique_ptr<Correlator>> SnapshotChainDecoder::Decode(
     }
     winner_of_index[ref.index] = ref.section;
   }
-  std::vector<StripeRef> winners;
-  for (uint32_t index = 0; index < winner_of_index.size(); ++index) {
-    if (winner_of_index[index] != nullptr) {
-      winners.push_back({index, winner_of_index[index]});
-    }
-  }
 
+  // Ascending stripe index, so the lowest damaged stripe is the one named.
   const RelationTable::SlabAccess slab =
       correlator->relations_.BeginRestore(static_cast<size_t>(file_count));
-  std::vector<Status> stripe_status(winners.size());
-  const auto decode_one = [&](size_t i) {
-    const StripeRef& ref = winners[i];
-    Status st = CheckCrc(*ref.section, ref.index);
-    if (st.ok()) {
-      st = DecodeStripeInPlace(ref.section->payload, ref.index, stripe_size,
-                               file_count, slab);
+  for (uint32_t index = 0; index < winner_of_index.size(); ++index) {
+    const RawSection* section = winner_of_index[index];
+    if (section == nullptr) {
+      continue;
     }
-    stripe_status[i] = std::move(st);
-  };
-  if (pool != nullptr && winners.size() > 1) {
-    pool->ParallelChunks(winners.size(), decode_one);
-  } else {
-    for (size_t i = 0; i < winners.size(); ++i) {
-      decode_one(i);
-    }
-  }
-  for (const Status& st : stripe_status) {
-    SEER_RETURN_IF_ERROR(st);
+    SEER_RETURN_IF_ERROR(CheckCrc(*section, index));
+    SEER_RETURN_IF_ERROR(
+        DecodeStripeInPlace(section->payload, index, stripe_size, file_count, slab));
   }
   correlator->relations_.FinishRestore(static_cast<size_t>(file_count));
 

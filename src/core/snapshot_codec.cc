@@ -3,7 +3,6 @@
 #include <string>
 
 #include "src/util/crc32.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -83,9 +82,11 @@ namespace {
 
 using namespace snapshot_internal;  // NOLINT
 
-// Frames one relation stripe into a complete `tag|size|crc|payload` block.
-// Pure function of the stripe copy, so stripes can be framed concurrently.
-std::string EncodeStripeSection(const RelationStripeCopy& stripe) {
+// Frames one relation stripe as a complete `tag|size|crc|payload` block
+// appended to `out`. Kept out of line: inlined into its one call site in
+// EncodeSealedSnapshot, the per-byte stripe loop encoded ~20% slower
+// (GCC 12, -O3, a 540-file store).
+[[gnu::noinline]] void PutStripeSection(ByteWriter* out, const RelationStripeCopy& stripe) {
   ByteWriter payload;
   payload.PutU32(stripe.index);
   uint32_t list_count = 0;
@@ -112,14 +113,12 @@ std::string EncodeStripeSection(const RelationStripeCopy& stripe) {
     }
     base += count;
   }
-  ByteWriter section;
-  PutSection(&section, kTagStripe, payload.data());
-  return section.Take();
+  PutSection(out, kTagStripe, payload.data());
 }
 
 }  // namespace
 
-std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool) {
+std::string EncodeSealedSnapshot(const SealedSnapshot& seal) {
   ByteWriter meta;
   meta.PutU32(2);
   meta.PutU8(seal.delta ? 1 : 0);
@@ -189,20 +188,6 @@ std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool) {
     }
   }
 
-  // The stripe sections dominate the encode at scale; frame them in
-  // parallel. Each slot is written by exactly one worker and assembly below
-  // follows slot order, so the output is identical at any thread count.
-  std::vector<std::string> stripe_sections(seal.stripes.size());
-  if (pool != nullptr && seal.stripes.size() > 1) {
-    pool->ParallelChunks(seal.stripes.size(), [&](size_t i) {
-      stripe_sections[i] = EncodeStripeSection(seal.stripes[i]);
-    });
-  } else {
-    for (size_t i = 0; i < seal.stripes.size(); ++i) {
-      stripe_sections[i] = EncodeStripeSection(seal.stripes[i]);
-    }
-  }
-
   ByteWriter out;
   out.PutBytes(kMagicV2);
   PutSection(&out, kTagMeta, meta.data());
@@ -211,8 +196,8 @@ std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool) {
   PutSection(&out, kTagFiles, file_table.data());
   PutSection(&out, kTagRelHead, rel_head.data());
   PutSection(&out, kTagStreams, streams.data());
-  for (const std::string& s : stripe_sections) {
-    out.PutBytes(s);
+  for (const RelationStripeCopy& stripe : seal.stripes) {
+    PutStripeSection(&out, stripe);
   }
   PutSection(&out, kTagEnd, {});
   return out.Take();

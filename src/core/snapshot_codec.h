@@ -1,9 +1,9 @@
 // Sectioned binary snapshot codec — the v2 checkpoint wire format.
 //
 // A v2 snapshot is a sequence of independently CRC'd sections, the relation
-// table split into per-stripe sections so encode can be sharded across a
-// thread pool and recovery can decode stripes in parallel straight into the
-// slab (zero-copy: one file read, per-section CRC checks, in-place writes).
+// table split into per-stripe sections so a delta can carry only dirty
+// stripes and recovery can decode each stripe straight into the slab
+// (zero-copy: one file read, per-section CRC checks, in-place writes).
 //
 //   magic "SEERSNP2"
 //   META  u32 version=2 | u8 kind (0 full, 1 delta) | u64 base-generation
@@ -57,7 +57,6 @@
 namespace seer {
 
 class Correlator;
-class ThreadPool;
 
 // Everything a checkpoint needs, deep-copied from the correlator at the
 // seal point. Building this is the ONLY work done while ingest is paused;
@@ -107,23 +106,23 @@ struct CheckpointStats {
   uint64_t generation = 0;
   bool delta = false;
   uint64_t seal_micros = 0;      // ingest stall: time spent copying state
-  uint64_t encode_micros = 0;    // off-thread: sharded section encode
+  uint64_t encode_micros = 0;    // off-thread: section encode
   uint64_t write_micros = 0;     // off-thread: atomic write + fsync + prune
   uint64_t bytes = 0;            // encoded snapshot size
   uint64_t full_bytes = 0;       // last full snapshot's size (ratio base)
   double delta_ratio = 0.0;      // bytes / full_bytes (1.0 for a full)
 };
 
-// Encodes a sealed snapshot to v2 bytes. Stripe sections are framed
-// concurrently on `pool` (nullptr encodes serially); assembly order is
-// fixed, so the output is byte-identical at any thread count.
-std::string EncodeSealedSnapshot(const SealedSnapshot& seal, ThreadPool* pool);
+// Encodes a sealed snapshot to v2 bytes, one stripe section per copied
+// stripe in ascending stripe order.
+std::string EncodeSealedSnapshot(const SealedSnapshot& seal);
 
 // Decodes a base snapshot plus its delta chain (oldest first; a single
-// full snapshot is the one-element chain). Relation stripes decode
-// concurrently on `pool` straight into the slab; nullptr decodes serially.
+// full snapshot is the one-element chain). Relation stripes decode in
+// ascending index straight into the slab; the first damaged stripe's
+// status is returned.
 StatusOr<std::unique_ptr<Correlator>> DecodeSnapshotChain(
-    const std::vector<std::string_view>& chain, ThreadPool* pool = nullptr);
+    const std::vector<std::string_view>& chain);
 
 // Reads the META header of a snapshot. Cheap: touches only the magic and
 // the META section, CRC-checked.
@@ -159,8 +158,8 @@ constexpr uint32_t kNoPath = 0xffffffffu;
 void PutSection(ByteWriter* out, uint32_t tag, std::string_view payload);
 
 // One section located in a buffer, framing parsed but payload NOT yet
-// CRC-verified — verification happens per consumer (in parallel for
-// stripes), so a chain decode reads each byte range exactly once.
+// CRC-verified — verification happens per consumer, so a chain decode
+// reads each byte range exactly once.
 struct RawSection {
   uint32_t tag = 0;
   uint32_t crc = 0;

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "src/core/snapshot_codec.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -161,8 +160,8 @@ Status SnapshotStore::LoadChain(const std::vector<SnapshotFileInfo>& files,
   return Status::Ok();
 }
 
-StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams& defaults,
-                                                               ThreadPool* pool) const {
+StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(
+    const SeerParams& defaults) const {
   SEER_ASSIGN_OR_RETURN(const std::vector<SnapshotFileInfo> snapshots, ListSnapshotFiles());
   SEER_ASSIGN_OR_RETURN(const std::vector<uint64_t> wals, ListWals());
 
@@ -170,21 +169,14 @@ StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams&
   Status newest_error;  // why the newest discarded head failed
 
   // Newest head whose chain (nearest full + deltas) folds cleanly wins;
-  // heads with torn or mislinked files are skipped. The chain decode runs
-  // relation stripes in parallel; pool workers never touch the Fs, so the
-  // fault-injection op ordering stays deterministic.
+  // heads with torn or mislinked files are skipped.
   if (!snapshots.empty()) {
-    std::unique_ptr<ThreadPool> own_pool;
-    if (pool == nullptr) {
-      own_pool = std::make_unique<ThreadPool>();
-      pool = own_pool.get();
-    }
     for (size_t h = snapshots.size(); h-- > 0;) {
       std::vector<std::string> chain_bytes;
       Status failure = LoadChain(snapshots, h, &chain_bytes);
       if (failure.ok()) {
         const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
-        auto decoded = DecodeSnapshotChain(views, pool);
+        auto decoded = DecodeSnapshotChain(views);
         if (decoded.ok()) {
           result.correlator = *std::move(decoded);
           result.generation = snapshots[h].generation;

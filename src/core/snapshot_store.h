@@ -97,12 +97,8 @@ class SnapshotStore {
     bool torn_wal_tail = false;  // replay ended at a damaged record
   };
   // Never writes; safe to call on a store another process produced.
-  // `defaults` seeds the correlator when the store is empty. `pool`, when
-  // given, runs the chain decode; otherwise a transient pool is created
-  // (the multi-tenant router restores thousands of stores and cannot
-  // afford a pool per call).
-  StatusOr<RecoveryResult> Recover(const SeerParams& defaults = {},
-                                   ThreadPool* pool = nullptr) const;
+  // `defaults` seeds the correlator when the store is empty.
+  StatusOr<RecoveryResult> Recover(const SeerParams& defaults = {}) const;
 
   // Atomically writes `generation`'s full snapshot (temp + fsync + rename
   // + dir fsync). Fails with kAlreadyExists if that generation is present.

@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "src/core/snapshot_store.h"
-#include "src/util/thread_pool.h"
+#include "src/util/thread_count.h"
 
 namespace seer {
 

@@ -1,11 +1,10 @@
 // The hoard service: TenantRouter behind a socket, served by a sharded
 // I/O plane.
 //
-// PR 6 built the tenant-routed server plane as an in-process library and
-// put it behind one poll()-driven thread; PR 8 made the ingest and
-// clustering planes underneath scale. This version removes the last
-// single-thread funnel — the wire itself — by sharding connections over
-// N I/O worker threads (io_threads, default SEER_THREADS):
+// The tenant-routed server plane (tenant_router.h) is an in-process
+// library; this puts it behind a socket without funnelling every
+// connection through one reader thread, by sharding connections over N
+// I/O worker threads (io_threads, default SEER_THREADS):
 //
 //   * Shard 0 is the Serve() thread. It owns the listening socket, the
 //     router's control plane (every control verb and Tick), and its own

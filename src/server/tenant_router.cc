@@ -9,7 +9,7 @@
 namespace seer {
 
 TenantRouter::TenantRouter(Fs* fs, std::string root, TenantRouterConfig config)
-    : fs_(fs), root_(std::move(root)), config_(config), pool_(config.threads) {}
+    : fs_(fs), root_(std::move(root)), config_(config) {}
 
 TenantRouter::~TenantRouter() {
   const Status status = Shutdown();
@@ -125,7 +125,7 @@ Status TenantRouter::Restore(Tenant* t) {
     overridden = true;
   }
   SEER_ASSIGN_OR_RETURN(t->durable, DurableCorrelator::Open(fs_, dir, effective,
-                                                            config_.store_options, &pool_));
+                                                            config_.store_options));
   if (overridden) {
     t->durable->correlator().OverrideTuningParams(effective);
   }

@@ -3,20 +3,17 @@
 // The single-instance stack pairs one Observer with one Correlator on one
 // machine. A hoard *service* inverts that: many devices (tenants) stream
 // references into one server process, each getting its own Correlator +
-// relation-table slab + HoardDaemon, while the expensive shared resources
-// — the snapshot ThreadPool and the checkpoint plane — are multiplexed
-// across all of them. TenantRouter is that server plane:
+// relation-table slab + HoardDaemon, while the checkpoint plane is
+// multiplexed across all of them. TenantRouter is that server plane:
 //
 //   * SinkFor(t) returns tenant t's ingress — a TenantScopedSink with a
 //     stable address, so the transport layer binds it once. Behind it the
 //     router resolves every callback to the tenant's DurableCorrelator,
 //     creating the tenant on first reference and transparently restoring
 //     it if it was evicted.
-//   * One shared ThreadPool runs every tenant's recovery decode and
-//     snapshot encode. Pools are never created per tenant; contended
-//     dispatches fall back to inline execution (see ThreadPool), so
-//     results are unchanged. Cluster scoring and hoard fills run on the
-//     calling thread.
+//   * Recovery decode, cluster scoring and hoard fills run on the
+//     calling thread. A scheduled checkpoint encodes on its tenant's
+//     background checkpoint thread; an evicting one encodes inline.
 //   * Tick(now) drives the control plane: harvest finished background
 //     checkpoints, start due ones under a max_checkpoints_inflight
 //     budget (per-tenant due times staggered across the interval so the
@@ -29,17 +26,16 @@
 //     evicting checkpoint left an empty WAL) and learning resumes.
 //
 // Isolation invariant, proven by tests/multitenant_test.cc: interleaving
-// any number of tenants over the shared pool — including evict/restore
-// cycles — leaves every tenant's EncodeSnapshot() byte-identical to a
-// standalone single-instance run fed the same stream, at any thread
-// count. One laptop == one tenant is the degenerate case, and each
-// tenant's store directory is an ordinary single-instance store that
-// `seerctl db` reads unchanged.
+// any number of tenants — including evict/restore cycles — leaves every
+// tenant's EncodeSnapshot() byte-identical to a standalone
+// single-instance run fed the same stream. One laptop == one tenant is
+// the degenerate case, and each tenant's store directory is an ordinary
+// single-instance store that `seerctl db` reads unchanged.
 //
-// Threading: the router itself is a single-threaded control plane; the
-// parallelism lives in the shared pool below it. It is not safe to call
-// two router methods concurrently — with one narrowly-scoped exception
-// the sharded transport (service.h) relies on, under external locking:
+// Threading: the router itself is a single-threaded control plane. It is
+// not safe to call two router methods concurrently — with one
+// narrowly-scoped exception the sharded transport (service.h) relies on,
+// under external locking:
 //
 //   Holding a shared (reader) lock that excludes every other router
 //   method, multiple threads may concurrently (a) call TenantResident()
@@ -72,7 +68,6 @@
 #include "src/observer/sink_chain.h"
 #include "src/util/fs.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -82,8 +77,9 @@ struct TenantRouterConfig {
   SeerParams defaults;
   SnapshotStoreOptions store_options;
 
-  // Snapshot encode/decode pool size; 0 selects DefaultThreadCount()
-  // (SEER_THREADS else hardware concurrency).
+  // Ignored: snapshot encode and decode are serial. The field stays only
+  // because the benchmark harness (perfbench/src/fleet.cc) still assigns
+  // it; nothing in the library reads it. Drop it with that assignment.
   int threads = 0;
 
   // --- residency budget --------------------------------------------------
@@ -290,7 +286,6 @@ class TenantRouter {
   Fs* fs_;
   std::string root_;
   TenantRouterConfig config_;
-  ThreadPool pool_;
   std::map<TenantId, Tenant> tenants_;  // ordered: ListTenants is sorted
   std::atomic<uint64_t> touch_seq_{0};
   uint64_t resident_bytes_ = 0;

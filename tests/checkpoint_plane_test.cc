@@ -1,11 +1,14 @@
 // Tests for the stall-free checkpoint plane: the v2 section format (and
-// the typed rejection of the retired v1 one), thread-count-invariant
-// parallel encode, delta chain recovery byte-equality against the serial
-// full path, async begin/finish checkpointing, and per-section damage
+// the typed rejection of the retired v1 one), encoded bytes pinned by a
+// committed digest, delta chain recovery byte-equality against the full
+// path, async begin/finish checkpointing, and per-section damage
 // diagnosis.
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -19,7 +22,6 @@
 #include "src/core/snapshot_store.h"
 #include "src/util/fs.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 namespace {
@@ -118,19 +120,43 @@ TEST(CheckpointPlane, V2FullRoundTripsByteIdentically) {
   EXPECT_EQ((*decoded)->EncodeSnapshot(), v2);
 }
 
+// 64-bit FNV-1a, continued from `hash`.
+uint64_t Fnv1a(std::string_view bytes, uint64_t hash = 0xcbf29ce484222325ull) {
+  for (const unsigned char c : bytes) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The encoded bytes of a full seal and of one delta seal over it are
+// pinned by a digest recorded in tests/data, so any change to the v2 wire
+// bytes (section order, framing, field layout) fails here.
 TEST(CheckpointPlane, EncodeIsThreadCountInvariant) {
   Correlator correlator;
   Time t = 0;
   std::mt19937 rng(13);
   FeedRandomEvents(&correlator, &rng, 800, &t);
+  const SealedSnapshot full = correlator.SealSnapshot();
+  const std::string full_bytes = EncodeSealedSnapshot(full);
 
-  const SealedSnapshot seal = correlator.SealSnapshot();
-  const std::string serial = EncodeSealedSnapshot(seal, nullptr);
-  for (const int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(EncodeSealedSnapshot(seal, &pool), serial)
-        << "encode diverged at " << threads << " threads";
-  }
+  FeedRandomEvents(&correlator, &rng, 200, &t);
+  Correlator::SealRequest req;
+  req.delta = true;
+  req.base_generation = 1;
+  req.relation_epoch = full.relation_epoch;
+  req.stream_epoch = full.stream_epoch;
+  const SealedSnapshot delta = correlator.SealSnapshot(req);
+  ASSERT_TRUE(delta.delta);
+  const std::string delta_bytes = EncodeSealedSnapshot(delta);
+
+  char got[17];
+  std::snprintf(got, sizeof(got), "%016" PRIx64, Fnv1a(delta_bytes, Fnv1a(full_bytes)));
+  std::ifstream in(std::string(SEER_TEST_DATA_DIR) + "/snapshot_encode.digest");
+  ASSERT_TRUE(in) << "missing tests/data/snapshot_encode.digest";
+  std::string want;
+  in >> want;
+  EXPECT_EQ(want, got) << "full " << full_bytes.size() << " B, delta " << delta_bytes.size()
+                       << " B";
 }
 
 TEST(CheckpointPlane, MetaDescribesTheSnapshot) {
@@ -149,8 +175,8 @@ TEST(CheckpointPlane, MetaDescribesTheSnapshot) {
 // --- delta chains vs the serial full path -----------------------------------
 
 // The core property of the delta plane: recovering base + deltas from the
-// store reproduces, byte for byte, the state the serial full encode
-// describes — across randomized workloads and decode thread counts.
+// store reproduces, byte for byte, the state the full encode describes —
+// across randomized workloads, through the store and the chain decode.
 TEST(CheckpointPlane, DeltaChainRecoveryMatchesFullSnapshot) {
   RealFs fs;
   for (const uint32_t seed : {3u, 17u, 29u}) {
@@ -176,7 +202,7 @@ TEST(CheckpointPlane, DeltaChainRecoveryMatchesFullSnapshot) {
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_EQ(recovered->correlator->EncodeSnapshot(), live) << "seed " << seed;
 
-    // And the chain decode directly, at several thread counts.
+    // And the chain decode directly.
     const auto files = durable.store().ListSnapshotFiles();
     ASSERT_TRUE(files.ok());
     size_t first = files->size() - 1;
@@ -194,13 +220,9 @@ TEST(CheckpointPlane, DeltaChainRecoveryMatchesFullSnapshot) {
       chain_bytes.push_back(*bytes);
     }
     const std::vector<std::string_view> views(chain_bytes.begin(), chain_bytes.end());
-    for (const int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      const auto folded = DecodeSnapshotChain(views, &pool);
-      ASSERT_TRUE(folded.ok()) << folded.status();
-      EXPECT_EQ((*folded)->EncodeSnapshot(), live)
-          << "seed " << seed << " threads " << threads;
-    }
+    const auto folded = DecodeSnapshotChain(views);
+    ASSERT_TRUE(folded.ok()) << folded.status();
+    EXPECT_EQ((*folded)->EncodeSnapshot(), live) << "seed " << seed;
   }
 }
 
@@ -327,6 +349,30 @@ TEST(CheckpointPlane, VerifyNamesTheDamagedSection) {
   EXPECT_NE(status.message().find(snapshot_internal::FourCc(victim.tag)), std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("#2"), std::string::npos) << status.message();
+
+  // With several relation stripes damaged, decode names the lowest stripe
+  // index, whichever order the sections are checked in.
+  FeedRandomEvents(&correlator, &rng, 900, &t);
+  std::string striped = correlator.EncodeSnapshot();
+  const auto striped_sections = snapshot_internal::ParseSections(striped);
+  ASSERT_TRUE(striped_sections.ok()) << striped_sections.status();
+  std::vector<snapshot_internal::RawSection> stripes;
+  for (const auto& section : *striped_sections) {
+    if (section.tag == snapshot_internal::kTagStripe) {
+      stripes.push_back(section);
+    }
+  }
+  ASSERT_GE(stripes.size(), 3u);
+  uint32_t lowest = 0;
+  for (size_t k : {stripes.size() - 1, size_t{1}}) {
+    ByteReader index_reader(stripes[k].payload);
+    lowest = index_reader.GetU32();
+    striped[static_cast<size_t>(stripes[k].payload.data() - striped.data()) + 5] ^= 0x40;
+  }
+  const Status decoded = Correlator::DecodeSnapshot(striped).status();
+  EXPECT_NE(decoded.message().find("bad crc in section RST0 (#" + std::to_string(lowest) + ")"),
+            std::string::npos)
+      << decoded.message();
 }
 
 TEST(CheckpointPlane, StoreVerifyReportsDamagedChainFile) {

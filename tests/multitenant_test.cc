@@ -1,12 +1,12 @@
 // Multi-tenant isolation and determinism.
 //
 // The contract of the tenant-routed server plane (src/server): interleaving
-// any number of tenants over one shared ThreadPool — with checkpoints,
-// budget evictions, and transparent restores mixed into the stream — leaves
-// every tenant's correlator byte-identical (EncodeSnapshot) to a standalone
-// single-instance Correlator fed the same events serially, at any thread
-// count. Each tenant's store directory must remain an ordinary
-// single-instance store readable without the router.
+// any number of tenants through one router — with checkpoints, budget
+// evictions, and transparent restores mixed into the stream — leaves every
+// tenant's correlator byte-identical (EncodeSnapshot) to a standalone
+// single-instance Correlator fed the same events serially. Each tenant's
+// store directory must remain an ordinary single-instance store readable
+// without the router.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,8 +136,8 @@ std::string StandaloneSnapshot(const std::vector<IngestEvent>& events) {
 }
 
 // Delivers each tenant's trace through its router sink, round-robin in
-// pseudo-random chunk sizes, so tenants genuinely interleave on the shared
-// pool. Optionally calls `tick` between chunks.
+// pseudo-random chunk sizes, so tenants genuinely interleave in the
+// router. Optionally calls `tick` between chunks.
 void Interleave(TenantRouter* router, const std::vector<std::vector<IngestEvent>>& traces,
                 uint32_t seed, const std::function<void(size_t chunk_index)>& between = {}) {
   std::vector<ReferenceSink*> sinks;
@@ -170,10 +170,9 @@ void Interleave(TenantRouter* router, const std::vector<std::vector<IngestEvent>
   }
 }
 
-TenantRouterConfig BaseConfig(int threads) {
+TenantRouterConfig BaseConfig() {
   TenantRouterConfig config;
   config.defaults = ChurnParams();
-  config.threads = threads;
   return config;
 }
 
@@ -186,9 +185,10 @@ TEST(TenantRouter, InterleavedTenantsMatchStandaloneAcrossThreadCounts) {
     want.push_back(StandaloneSnapshot(traces.back()));
   }
 
+  // Each value runs the same router under its own interleaving seed.
   for (const int threads : {1, 2, 8}) {
     MemFs fs;
-    TenantRouter router(&fs, "/srv", BaseConfig(threads));
+    TenantRouter router(&fs, "/srv", BaseConfig());
     Interleave(&router, traces, 0xC0FFEE + static_cast<uint32_t>(threads));
     ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
     for (size_t t = 0; t < kTenants; ++t) {
@@ -209,9 +209,10 @@ TEST(TenantRouter, EvictRestoreCyclePreservesByteIdentity) {
     want.push_back(StandaloneSnapshot(traces[t]));
   }
 
+  // Both passes run the same router over the same interleaving.
   for (const int threads : {1, 8}) {
     MemFs fs;
-    TenantRouter router(&fs, "/srv", BaseConfig(threads));
+    TenantRouter router(&fs, "/srv", BaseConfig());
     // Evict a rotating victim mid-stream; its next chunk transparently
     // restores it (seal -> snapshot -> release -> recover).
     Interleave(&router, traces, 0xBEEF, [&](size_t chunk) {
@@ -243,7 +244,7 @@ TEST(TenantRouter, ShutdownLeavesStandaloneReadableStores) {
 
   MemFs fs;
   {
-    TenantRouter router(&fs, "/srv", BaseConfig(4));
+    TenantRouter router(&fs, "/srv", BaseConfig());
     Interleave(&router, traces, 0xD1CE);
     ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
     ASSERT_TRUE(router.Shutdown().ok());
@@ -275,7 +276,7 @@ TEST(TenantRouter, MemoryBudgetBoundsResidentTenants) {
   }
 
   MemFs fs;
-  TenantRouterConfig config = BaseConfig(4);
+  TenantRouterConfig config = BaseConfig();
   config.max_resident_tenants = kMaxResident;
   TenantRouter router(&fs, "/srv", config);
   Time now = 0;
@@ -308,7 +309,7 @@ TEST(TenantRouter, StaggeredSchedulerBoundsInflightCheckpoints) {
   }
 
   MemFs fs;
-  TenantRouterConfig config = BaseConfig(4);
+  TenantRouterConfig config = BaseConfig();
   config.checkpoint_interval = kMicrosPerSecond;  // everyone is soon due
   config.max_checkpoints_inflight = 2;
   TenantRouter router(&fs, "/srv", config);
@@ -333,7 +334,7 @@ TEST(TenantRouter, StaggeredSchedulerBoundsInflightCheckpoints) {
 
 TEST(TenantRouter, HoardDaemonRefillsOnRouterCadence) {
   MemFs fs;
-  TenantRouterConfig config = BaseConfig(2);
+  TenantRouterConfig config = BaseConfig();
   config.hoard_budget_bytes = 1 << 20;
   config.hoard_interval = kMicrosPerSecond;
   config.size_of = [](PathId) -> uint64_t { return 4096; };
@@ -392,7 +393,7 @@ TEST(TenantRouter, TenantDirectoryLayout) {
 
 TEST(TenantRouter, InvalidTenantIdNeverMaterialisesAStore) {
   MemFs fs;
-  TenantRouter router(&fs, "/srv", BaseConfig(1));
+  TenantRouter router(&fs, "/srv", BaseConfig());
   ReferenceSink* sink = router.SinkFor(kInvalidTenantId);
   ASSERT_NE(nullptr, sink);
   sink->OnReference(FileReference{1, RefKind::kPoint, P("/mt/f0"), kMicrosPerSecond, false});
@@ -413,7 +414,7 @@ TEST(TenantRouter, TickSurvivesPersistentEvictionFailure) {
   traces.push_back(TenantTrace(0xF00, 300));
   traces.push_back(TenantTrace(0xF01, 300));
 
-  TenantRouterConfig config = BaseConfig(1);
+  TenantRouterConfig config = BaseConfig();
   config.max_resident_tenants = 1;
 
   uint64_t clean_ops = 0;
@@ -450,7 +451,7 @@ TEST(TenantRouter, TickSurvivesPersistentEvictionFailure) {
 
 TEST(TenantRouter, SinkAddressStableAcrossEviction) {
   MemFs fs;
-  TenantRouter router(&fs, "/srv", BaseConfig(2));
+  TenantRouter router(&fs, "/srv", BaseConfig());
   ReferenceSink* sink = router.SinkFor(42);
   ASSERT_NE(nullptr, sink);
   EXPECT_EQ(sink, router.SinkFor(42));

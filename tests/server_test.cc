@@ -49,16 +49,15 @@ SeerParams ChurnParams() {
   return p;
 }
 
-TenantRouterConfig BaseRouterConfig(int threads) {
+TenantRouterConfig BaseRouterConfig() {
   TenantRouterConfig config;
   config.defaults = ChurnParams();
-  config.threads = threads;
   return config;
 }
 
-HoardServiceConfig BaseServiceConfig(int threads) {
+HoardServiceConfig BaseServiceConfig() {
   HoardServiceConfig config;
-  config.router = BaseRouterConfig(threads);
+  config.router = BaseRouterConfig();
   // A constant clock: Serve() ticks at most once, so checkpoint scheduling
   // cannot perturb the equivalence comparisons below.
   config.clock = [] { return kMicrosPerSecond; };
@@ -372,7 +371,7 @@ TEST(HoardService, LoopbackEquivalenceAcrossThreadCounts) {
   std::vector<std::string> want;
   {
     MemFs fs;
-    TenantRouter router(&fs, "/srv", BaseRouterConfig(4));
+    TenantRouter router(&fs, "/srv", BaseRouterConfig());
     for (size_t t = 0; t < kTenants; ++t) {
       Observer observer(ObserverConfig{}, /*fs=*/nullptr);
       const TenantId tenant = static_cast<TenantId>(t + 1);
@@ -387,10 +386,11 @@ TEST(HoardService, LoopbackEquivalenceAcrossThreadCounts) {
     want = RecoveredSnapshots(&fs, "/srv", kTenants);
   }
 
+  // Each value runs the same service under its own interleaving seed.
   for (const int threads : {1, 2, 8}) {
     const std::string socket = SocketPath("loopback-" + std::to_string(threads));
     MemFs fs;
-    ServiceHarness harness(&fs, BaseServiceConfig(threads), socket);
+    ServiceHarness harness(&fs, BaseServiceConfig(), socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
 
     auto client = SeerClient::Connect("unix:" + socket);
@@ -437,7 +437,7 @@ TEST(HoardService, LoopbackEquivalenceAcrossThreadCounts) {
 TEST(HoardService, LiveStatsMatchOfflineOnQuiescedStore) {
   const std::string socket = SocketPath("stats");
   MemFs fs;
-  ServiceHarness harness(&fs, BaseServiceConfig(2), socket);
+  ServiceHarness harness(&fs, BaseServiceConfig(), socket);
   ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
 
   auto client = SeerClient::Connect("unix:" + socket);
@@ -471,7 +471,7 @@ TEST(HoardService, ParamsOverridePersistsAcrossServerRestart) {
   MemFs fs;
   {
     const std::string socket = SocketPath("params-a");
-    ServiceHarness harness(&fs, BaseServiceConfig(1), socket);
+    ServiceHarness harness(&fs, BaseServiceConfig(), socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
     auto client = SeerClient::Connect("unix:" + socket);
     ASSERT_TRUE(client.ok()) << client.status().message();
@@ -503,7 +503,7 @@ TEST(HoardService, ParamsOverridePersistsAcrossServerRestart) {
   // persisted override (parsed over the fleet defaults).
   {
     const std::string socket = SocketPath("params-b");
-    ServiceHarness harness(&fs, BaseServiceConfig(1), socket);
+    ServiceHarness harness(&fs, BaseServiceConfig(), socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
     auto client = SeerClient::Connect("unix:" + socket);
     ASSERT_TRUE(client.ok()) << client.status().message();
@@ -525,7 +525,7 @@ TEST(HoardService, ParamsOverridePersistsAcrossServerRestart) {
 TEST(HoardService, MalformedFramesCloseOnlyTheirConnection) {
   const std::string socket = SocketPath("malformed");
   MemFs fs;
-  ServiceHarness harness(&fs, BaseServiceConfig(1), socket);
+  ServiceHarness harness(&fs, BaseServiceConfig(), socket);
   ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
 
   auto good = SeerClient::Connect("unix:" + socket);
@@ -581,7 +581,7 @@ TEST(HoardService, MalformedFramesCloseOnlyTheirConnection) {
 TEST(HoardService, ShutdownSealsEveryResidentTenant) {
   const std::string socket = SocketPath("seal");
   MemFs fs;
-  ServiceHarness harness(&fs, BaseServiceConfig(4), socket);
+  ServiceHarness harness(&fs, BaseServiceConfig(), socket);
   ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
 
   auto client = SeerClient::Connect("unix:" + socket);
@@ -614,7 +614,7 @@ TEST(HoardService, LoopbackEquivalenceAcrossIoThreadCounts) {
   std::vector<std::string> want;
   {
     MemFs fs;
-    TenantRouter router(&fs, "/srv", BaseRouterConfig(2));
+    TenantRouter router(&fs, "/srv", BaseRouterConfig());
     for (size_t t = 0; t < kTenants; ++t) {
       Observer observer(ObserverConfig{}, /*fs=*/nullptr);
       const TenantId tenant = static_cast<TenantId>(t + 1);
@@ -632,7 +632,7 @@ TEST(HoardService, LoopbackEquivalenceAcrossIoThreadCounts) {
   for (const int io_threads : {1, 2, 8}) {
     const std::string socket = SocketPath("io-loopback-" + std::to_string(io_threads));
     MemFs fs;
-    HoardServiceConfig config = BaseServiceConfig(2);
+    HoardServiceConfig config = BaseServiceConfig();
     config.io_threads = io_threads;
     ServiceHarness harness(&fs, config, socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
@@ -697,7 +697,7 @@ TEST(HoardService, MultiConnectionMergeMatchesOracle) {
   // outcome nondeterminism beyond it.
   const std::string socket = SocketPath("merge");
   MemFs fs;
-  HoardServiceConfig config = BaseServiceConfig(2);
+  HoardServiceConfig config = BaseServiceConfig();
   config.io_threads = 2;
   config.record_merge_log = true;
   ServiceHarness harness(&fs, config, socket);
@@ -758,7 +758,7 @@ TEST(HoardService, MultiConnectionMergeMatchesOracle) {
   // Replay the server's reported merge order through the same pipeline.
   MemFs oracle_fs;
   {
-    TenantRouter router(&oracle_fs, "/srv", BaseRouterConfig(2));
+    TenantRouter router(&oracle_fs, "/srv", BaseRouterConfig());
     Observer observer(ObserverConfig{}, /*fs=*/nullptr);
     observer.set_sink(router.SinkFor(1));
     observer.set_miss_listener(router.MissLogFor(1));
@@ -794,7 +794,7 @@ TEST(HoardService, SlowConsumerBackpressureAcrossIoThreads) {
   // deadlock or loss, on every shard.
   const std::string socket = SocketPath("backpressure");
   MemFs fs;
-  HoardServiceConfig config = BaseServiceConfig(2);
+  HoardServiceConfig config = BaseServiceConfig();
   config.io_threads = 3;
   config.conn_buffer_limit = 2048;  // far below a sender's burst
   ServiceHarness harness(&fs, config, socket);
@@ -851,7 +851,7 @@ TEST(HoardService, MidFrameDeathOnWorkerShard) {
   // torn-frame EOF path off the Serve() thread.
   const std::string socket = SocketPath("worker-death");
   MemFs fs;
-  HoardServiceConfig config = BaseServiceConfig(1);
+  HoardServiceConfig config = BaseServiceConfig();
   config.io_threads = 2;
   ServiceHarness harness(&fs, config, socket);
   ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
@@ -894,7 +894,7 @@ TEST(HoardService, PipelinedStreamPreservesDeliveryOrder) {
   {
     const std::string socket = SocketPath("pipeline-off");
     MemFs fs;
-    ServiceHarness harness(&fs, BaseServiceConfig(2), socket);
+    ServiceHarness harness(&fs, BaseServiceConfig(), socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
     auto client = SeerClient::Connect("unix:" + socket);
     ASSERT_TRUE(client.ok()) << client.status().message();
@@ -907,7 +907,7 @@ TEST(HoardService, PipelinedStreamPreservesDeliveryOrder) {
   {
     const std::string socket = SocketPath("pipeline-on");
     MemFs fs;
-    HoardServiceConfig config = BaseServiceConfig(2);
+    HoardServiceConfig config = BaseServiceConfig();
     config.io_threads = 2;
     ServiceHarness harness(&fs, config, socket);
     ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
@@ -935,7 +935,7 @@ TEST(TenantRouterAux, PinsAndMissLogSurviveRestart) {
   const PathId pinned = P("/data/pinned");
   const PathId missed = P("/data/missed");
   {
-    TenantRouter router(&fs, "/srv", BaseRouterConfig(2));
+    TenantRouter router(&fs, "/srv", BaseRouterConfig());
     ReferenceSink* sink = router.SinkFor(9);
     sink->OnReference(FileReference{11, RefKind::kPoint, P("/data/f0"), kMicrosPerSecond, false});
     HoardManager* hoard = router.HoardFor(9);
@@ -950,7 +950,7 @@ TEST(TenantRouterAux, PinsAndMissLogSurviveRestart) {
   }
   EXPECT_TRUE(fs.Exists(SnapshotStore::TenantDirectory("/srv", 9) + "/aux.seer"));
 
-  TenantRouter router(&fs, "/srv", BaseRouterConfig(2));
+  TenantRouter router(&fs, "/srv", BaseRouterConfig());
   HoardManager* hoard = router.HoardFor(9);
   ASSERT_NE(nullptr, hoard);
   EXPECT_EQ(1u, hoard->pinned().count(pinned));
@@ -972,7 +972,7 @@ TEST(TenantRouterAux, PinsAndMissLogSurviveRestart) {
 // slab would be sized files x n.
 TEST(TenantRouterAux, NeighborCountAboveLimitIsRejected) {
   MemFs fs;
-  TenantRouter router(&fs, "/srv", BaseRouterConfig(1));
+  TenantRouter router(&fs, "/srv", BaseRouterConfig());
   const std::string hostile = "n 2000000000\n";
 
   const Status set = router.SetTenantParams(6, hostile);
@@ -989,7 +989,7 @@ TEST(TenantRouterAux, NeighborCountAboveLimitIsRejected) {
 
 TEST(TenantRouterAux, EvictionPersistsAndRestorePreservesPins) {
   MemFs fs;
-  TenantRouter router(&fs, "/srv", BaseRouterConfig(1));
+  TenantRouter router(&fs, "/srv", BaseRouterConfig());
   router.SinkFor(4)->OnReference(
       FileReference{11, RefKind::kPoint, P("/data/f1"), kMicrosPerSecond, false});
   router.HoardFor(4)->Pin(P("/data/keep"));

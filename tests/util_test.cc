@@ -1,12 +1,13 @@
 // Tests for the utility layer: deterministic RNG, statistics, path
-// handling (including the directory-distance measure of Section 3.2), and
-// the clustering engine's support structures (DSU, FlatMap, ThreadPool).
-#include <atomic>
+// handling (including the directory-distance measure of Section 3.2), the
+// clustering engine's support structures (DSU, FlatMap), and thread-count
+// validation for SEER_THREADS and --io-threads.
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include "src/util/path.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
+#include "src/util/thread_count.h"
 
 namespace seer {
 namespace {
@@ -387,37 +388,46 @@ TEST(FlatMap, InsertFindGrowClear) {
   EXPECT_EQ(*map.Find(5), 9.0);
 }
 
-// --- thread_pool -------------------------------------------------------------
+// --- thread_count ------------------------------------------------------------
 
-TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.threads(), threads);
-    constexpr size_t kChunks = 257;  // not a multiple of anything convenient
-    std::unique_ptr<std::atomic<int>[]> runs(new std::atomic<int>[kChunks]);
-    for (size_t i = 0; i < kChunks; ++i) {
-      runs[i].store(0);
-    }
-    pool.ParallelChunks(kChunks, [&](size_t c) { runs[c].fetch_add(1); });
-    for (size_t i = 0; i < kChunks; ++i) {
-      EXPECT_EQ(runs[i].load(), 1) << "chunk " << i << " with " << threads << " threads";
-    }
-    // The pool is reusable for a second job.
-    std::atomic<size_t> total{0};
-    pool.ParallelChunks(64, [&](size_t c) { total.fetch_add(c); });
-    EXPECT_EQ(total.load(), 64u * 63u / 2u);
+TEST(ThreadCount, DefaultThreadCountPositive) {
+  EXPECT_GE(DefaultThreadCount(), 1);
+}
+
+TEST(ParseThreadCount, AcceptsPlainPositiveIntegers) {
+  for (const auto& [text, want] : std::vector<std::pair<std::string, int>>{
+           {"1", 1}, {"8", 8}, {"4096", kMaxThreads}}) {
+    const auto got = ParseThreadCount(text);
+    ASSERT_TRUE(got.ok()) << text;
+    EXPECT_EQ(*got, want) << text;
   }
 }
 
-TEST(ThreadPool, ZeroChunksReturnsImmediately) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.ParallelChunks(0, [&](size_t) { ran = true; });
-  EXPECT_FALSE(ran);
+TEST(ParseThreadCount, RejectsGarbage) {
+  for (const char* text : {"", "0", "-3", "abc", "8x", " 8", "8 ", "3.5", "0x10",
+                           "99999999999999999999", "4097"}) {
+    const auto got = ParseThreadCount(text);
+    EXPECT_FALSE(got.ok()) << "accepted: " << text;
+    EXPECT_FALSE(got.status().message().empty()) << text;
+  }
 }
 
-TEST(ThreadPool, DefaultThreadCountPositive) {
-  EXPECT_GE(DefaultThreadCount(), 1);
+TEST(ParseThreadCount, SeerThreadsFromEnvReflectsVariable) {
+  // setenv/getenv in a single-threaded test context.
+  ASSERT_EQ(0, setenv("SEER_THREADS", "3", 1));
+  auto got = SeerThreadsFromEnv();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, 3);
+
+  ASSERT_EQ(0, setenv("SEER_THREADS", "zebra", 1));
+  got = SeerThreadsFromEnv();
+  EXPECT_FALSE(got.ok());
+  EXPECT_NE(got.status().message().find("SEER_THREADS"), std::string::npos);
+
+  ASSERT_EQ(0, unsetenv("SEER_THREADS"));
+  got = SeerThreadsFromEnv();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, 0);  // unset: caller falls back to hardware concurrency
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ Two modes:
       Checks the intra-file scaling gates this repo commits to:
         overhead:          steady-state batched ingest allocs/ref == 0
                            (any host); slab ns/obs <= legacy ns/obs
-        multitenant:       fleet refs/s at 4 threads >= serial (warn-only)
         service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread;
                            arena decode allocs/frame <= legacy (any host)
         hoard_fill:        selection identical across modes (any host);
@@ -38,7 +37,7 @@ import sys
 META_KEYS = {
     "host_cpus", "seer_threads", "scaling_valid", "bench", "transport",
     "threads", "files", "references", "refs", "streams", "tenants",
-    "refs_per_tenant", "total_refs", "queue_capacity", "encode_threads",
+    "refs_per_tenant", "total_refs", "queue_capacity",
     "clusters", "touched", "batches", "barriers",
     "frames_received", "events_ingested", "dirty_files", "files_rescored",
     "budget_bytes",
@@ -175,23 +174,6 @@ def gate_overhead(doc, failures):
               f"(< 4) or scaling_valid={doc.get('scaling_valid')}")
 
 
-def gate_multitenant(doc, failures):
-    del failures  # warn-only: fleet scaling has no hard gate yet
-    host_cpus = doc.get("host_cpus", 1)
-    if host_cpus >= 4 and doc.get("scaling_valid", False):
-        rows = doc.get("thread_sweep", [])
-        serial = sweep_rate(rows, 1, "aggregate_refs_per_sec")
-        wide = sweep_rate(rows, 4, "aggregate_refs_per_sec")
-        if serial > 0 and wide < serial:
-            print(f"  WARN multitenant: fleet at 4 threads ({wide:.0f} refs/s) "
-                  f"is below serial ({serial:.0f} refs/s)")
-        elif serial > 0:
-            print(f"  PASS multitenant fleet scaling: {wide / serial:.2f}x serial")
-    else:
-        print(f"  SKIPPED multitenant scaling check: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')}")
-
-
 def gate_service(doc, failures):
     host_cpus = doc.get("host_cpus", 1)
     if host_cpus >= 4 and doc.get("scaling_valid", False):
@@ -254,7 +236,6 @@ def gate_hoard_fill(doc, failures):
 
 GATES = {
     "overhead": gate_overhead,
-    "multitenant": gate_multitenant,
     "service_scale": gate_service,
     "hoard_fill": gate_hoard_fill,
 }

@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/async_pipeline.h"
@@ -49,7 +50,7 @@
 #include "src/trace/binary_trace.h"
 #include "src/trace/trace_io.h"
 #include "src/util/fs.h"
-#include "src/util/thread_pool.h"
+#include "src/util/thread_count.h"
 #include "src/workload/environment.h"
 #include "src/workload/machine_profile.h"
 #include "src/workload/user_model.h"
@@ -67,6 +68,11 @@ struct Subcommand {
   const char* synopsis;  // one line, shown by the global usage
   const char* help;      // full reference, shown by `help CMD` / `--help`
   int (*run)(int argc, char** argv, int start);
+  // The flags `run` reads, space-separated: those that take a value
+  // (`--name VALUE` or `--name=VALUE`) and bare ones. Any other flag is
+  // rejected before `run` starts.
+  const char* value_flags = "";
+  const char* bare_flags = "";
   // True when `run` is itself a registry: a trailing --help then belongs
   // to the nested sub-command (`seerctl db save --help`), so dispatch must
   // not intercept it here.
@@ -80,6 +86,34 @@ int UsageFor(const char* program, const std::vector<Subcommand>& commands) {
   }
   std::fprintf(stderr, "\nrun `%s help COMMAND` for details on one command\n", program);
   return 2;
+}
+
+// True when the space-separated `list` names `flag` exactly.
+bool ListsFlag(std::string_view list, std::string_view flag) {
+  const std::string padded = std::string(" ").append(list).append(" ");
+  return padded.find(std::string(" ").append(flag).append(" ")) != std::string::npos;
+}
+
+// The first argument at or after `start` that looks like a flag but is not
+// one `command` declares, or nullptr. A declared value flag's value is
+// skipped, so it may itself start with '-'; `--name=value` is checked by
+// its name.
+const char* UnknownFlag(const Subcommand& command, int argc, char** argv, int start) {
+  for (int i = start; i < argc; ++i) {
+    if (argv[i][0] != '-') {
+      continue;
+    }
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    if (ListsFlag(command.value_flags, name)) {
+      if (name.size() == arg.size()) {
+        ++i;  // the value
+      }
+    } else if (!ListsFlag(command.bare_flags, name)) {
+      return argv[i];
+    }
+  }
+  return nullptr;
 }
 
 int RunRegistry(const char* program, const std::vector<Subcommand>& commands, int argc,
@@ -108,6 +142,17 @@ int RunRegistry(const char* program, const std::vector<Subcommand>& commands, in
       std::printf("usage: %s %s\n\n%s", program, command.synopsis, command.help);
       return 0;
     }
+    if (!command.has_subcommands) {
+      if (const char* unknown = UnknownFlag(command, argc, argv, start + 1)) {
+        // The synopsis starts with the full command path ("db save ...").
+        const std::string_view synopsis = command.synopsis;
+        const std::string_view path =
+            synopsis.substr(0, synopsis.find(command.name) + std::strlen(command.name));
+        std::fprintf(stderr, "%s %.*s: unknown flag '%s'\n", program,
+                     static_cast<int>(path.size()), path.data(), unknown);
+        return 2;
+      }
+    }
     return command.run(argc, argv, start + 1);
   }
   std::fprintf(stderr, "%s: unknown command '%s'\n\n", program, name.c_str());
@@ -116,10 +161,18 @@ int RunRegistry(const char* program, const std::vector<Subcommand>& commands, in
 
 // --- argument scanning -------------------------------------------------------
 
-// Returns the value following `flag`, or nullptr.
+// Returns the value of `flag`, spelled `flag VALUE` or `flag=VALUE`, or
+// nullptr.
 const char* FlagValue(int argc, char** argv, int start, const char* flag) {
-  for (int i = start; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
+  const size_t length = std::strlen(flag);
+  for (int i = start; i < argc; ++i) {
+    if (std::strncmp(argv[i], flag, length) != 0) {
+      continue;
+    }
+    if (argv[i][length] == '=') {
+      return argv[i] + length + 1;
+    }
+    if (argv[i][length] == '\0' && i + 1 < argc) {
       return argv[i + 1];
     }
   }
@@ -174,42 +227,10 @@ const char* PositionalAt(int argc, char** argv, int start, int index) {
   return nullptr;
 }
 
-// Validated value of --threads K / --threads=K at or after `start`; 0 when
-// the flag is absent. An invalid count is fatal: silently running at the
-// wrong width would change the snapshot pool's sizing.
-int ThreadsFlagOrDie(int argc, char** argv, int start) {
-  const char* value = nullptr;
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      value = argv[i] + 10;
-    }
-  }
-  if (const char* v = FlagValue(argc, argv, start, "--threads")) {
-    value = v;
-  }
-  if (value == nullptr) {
-    return 0;
-  }
-  const StatusOr<int> threads = ParseThreadCount(value);
-  if (!threads.ok()) {
-    std::fprintf(stderr, "seerctl: --threads: %s\n", threads.status().message().c_str());
-    std::exit(2);
-  }
-  return *threads;
-}
-
-// Validated value of --io-threads K / --io-threads=K; 0 when absent
-// (serve then sizes the I/O plane with DefaultThreadCount()).
+// Validated value of --io-threads K; 0 when absent (serve then sizes the
+// I/O plane with DefaultThreadCount()).
 int IoThreadsFlagOrDie(int argc, char** argv, int start) {
-  const char* value = nullptr;
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
-      value = argv[i] + 13;
-    }
-  }
-  if (const char* v = FlagValue(argc, argv, start, "--io-threads")) {
-    value = v;
-  }
+  const char* value = FlagValue(argc, argv, start, "--io-threads");
   if (value == nullptr) {
     return 0;
   }
@@ -896,8 +917,8 @@ int DbInfo(int argc, char** argv, int start) {
       }
     }
     // ...plus a live checkpoint-plane measurement: recover the store and
-    // time the seal (the only part that stalls ingest) and the parallel
-    // encode of a full snapshot.
+    // time the seal (the only part that stalls ingest) and the encode of a
+    // full snapshot.
     const auto recovered = store.Recover();
     if (!recovered.ok()) {
       std::fprintf(stderr, "seerctl: %s: %s\n", dir, recovered.status().ToString().c_str());
@@ -906,14 +927,12 @@ int DbInfo(int argc, char** argv, int start) {
     const auto seal_begin = std::chrono::steady_clock::now();
     const SealedSnapshot seal = recovered->correlator->SealSnapshot();
     const auto seal_end = std::chrono::steady_clock::now();
-    ThreadPool pool;
-    const std::string encoded = EncodeSealedSnapshot(seal, &pool);
+    const std::string encoded = EncodeSealedSnapshot(seal);
     const auto encode_end = std::chrono::steady_clock::now();
     const auto micros = [](auto a, auto b) {
       return std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
     };
-    std::printf("\ncheckpoint stats (%zu files, %d threads):\n",
-                static_cast<size_t>(seal.file_count), pool.threads());
+    std::printf("\ncheckpoint stats (%zu files):\n", static_cast<size_t>(seal.file_count));
     std::printf("  seal stall      %lld us\n",
                 static_cast<long long>(micros(seal_begin, seal_end)));
     std::printf("  full encode     %.3f ms (%zu B)\n",
@@ -939,13 +958,13 @@ const std::vector<Subcommand>& DbCommands() {
        "  --params FILE       correlator parameters\n"
        "  --control FILE      observer control file\n"
        "  --keep N            snapshot generations to retain (default 2)\n",
-       DbSave},
+       DbSave, "--from-trace --params --control --keep"},
       {"dump", "db dump DIR [-o FILE]",
        "Recover the newest consistent state from the store at DIR (snapshot\n"
        "plus WAL replay, falling back past torn generations) and write it\n"
        "as human-readable text to FILE, or stdout. The dump is for reading\n"
        "and diffing; no command loads it back.\n",
-       DbDump},
+       DbDump, "-o"},
       {"verify", "db verify DIR [--deep]",
        "Check the store's integrity: the newest snapshot chain (nearest\n"
        "full plus its deltas) must decode, the WAL chain must be gapless\n"
@@ -954,19 +973,19 @@ const std::vector<Subcommand>& DbCommands() {
        "healthy.\n\n"
        "  --deep   also CRC-check every snapshot file's sections, decode\n"
        "           every full, and validate every delta's base linkage\n",
-       DbVerify},
+       DbVerify, "", "--deep"},
       {"compact", "db compact DIR [--keep N]",
        "Fold the WAL chain into a fresh snapshot generation and prune old\n"
        "generations, bounding recovery replay time.\n\n"
        "  --keep N   snapshot generations to retain (default 2)\n",
-       DbCompact},
+       DbCompact, "--keep"},
       {"info", "db info DIR [--stats]",
        "Describe every generation in the store: snapshot kind (full or\n"
        "delta), size and health, WAL size, record count, and tail state.\n\n"
        "  --stats  also recover the store and report checkpoint-plane\n"
-       "           numbers: seal stall, parallel full-encode time, and the\n"
+       "           numbers: seal stall, full-encode time, and the\n"
        "           on-disk delta-to-full byte ratio\n",
-       DbInfo},
+       DbInfo, "", "--stats"},
   };
   return commands;
 }
@@ -987,15 +1006,6 @@ int Db(int argc, char** argv, int start) {
 
 // --socket SPEC / --socket=SPEC: the live-service endpoint (net.h spec
 // syntax); nullptr selects the offline backend.
-const char* SocketFlag(int argc, char** argv, int start) {
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--socket=", 9) == 0) {
-      return argv[i] + 9;
-    }
-  }
-  return FlagValue(argc, argv, start, "--socket");
-}
-
 SeerClient ConnectOrDie(const char* socket_spec) {
   StatusOr<SeerClient> client = SeerClient::Connect(socket_spec);
   if (!client.ok()) {
@@ -1037,7 +1047,7 @@ struct TenantTarget {
 
 TenantTarget TenantTargetOrDie(const char* command, int argc, char** argv, int start) {
   TenantTarget target;
-  target.socket = SocketFlag(argc, argv, start);
+  target.socket = FlagValue(argc, argv, start, "--socket");
   const char* id = nullptr;
   if (target.socket != nullptr) {
     id = PositionalAt(argc, argv, start, 0);
@@ -1120,7 +1130,7 @@ StatusOr<TenantStats> LiveStatsOrDie(SeerClient& client, TenantId tenant) {
 }
 
 int TenantList(int argc, char** argv, int start) {
-  if (const char* socket = SocketFlag(argc, argv, start)) {
+  if (const char* socket = FlagValue(argc, argv, start, "--socket")) {
     SeerClient client = ConnectOrDie(socket);
     const StatusOr<std::vector<TenantId>> tenants = client.TenantList();
     if (!tenants.ok()) {
@@ -1141,7 +1151,7 @@ int TenantList(int argc, char** argv, int start) {
 
 int TenantStatsCmd(int argc, char** argv, int start) {
   const char* one = FlagValue(argc, argv, start, "--tenant");
-  if (const char* socket = SocketFlag(argc, argv, start)) {
+  if (const char* socket = FlagValue(argc, argv, start, "--socket")) {
     SeerClient client = ConnectOrDie(socket);
     const StatusOr<std::vector<TenantStats>> stats =
         client.Stats(one != nullptr ? TenantIdOrDie(one) : kInvalidTenantId);
@@ -1167,14 +1177,13 @@ int TenantStatsCmd(int argc, char** argv, int start) {
   } else {
     tenants = ListTenantsOrDie(&DefaultFs(), root);
   }
-  // One pool for every recovery decode; Recover() itself never writes.
-  ThreadPool pool(ThreadsFlagOrDie(argc, argv, start));
+  // Recover() never writes.
   std::vector<TenantRow> rows;
   int rc = 0;
   for (const TenantId tenant : tenants) {
     const std::string dir = SnapshotStore::TenantDirectory(root, tenant);
     SnapshotStore store(&DefaultFs(), dir);
-    const auto recovered = store.Recover({}, &pool);
+    const auto recovered = store.Recover();
     if (!recovered.ok()) {
       std::fprintf(stderr, "seerctl: tenant %u: UNREADABLE: %s\n", tenant,
                    recovered.status().message().c_str());
@@ -1210,9 +1219,7 @@ int TenantCheckpoint(int argc, char** argv, int start) {
     }
     return 0;
   }
-  TenantRouterConfig config;
-  config.threads = ThreadsFlagOrDie(argc, argv, start);
-  TenantRouter router(&DefaultFs(), target.root, config);
+  TenantRouter router(&DefaultFs(), target.root, TenantRouterConfig());
   const Status status = router.CheckpointTenant(target.tenant);
   if (!status.ok()) {
     std::fprintf(stderr, "seerctl: %s\n", status.message().c_str());
@@ -1244,9 +1251,7 @@ int TenantEvict(int argc, char** argv, int start) {
     PrintEvicted(target.tenant, before->memory_bytes);
     return 0;
   }
-  TenantRouterConfig config;
-  config.threads = ThreadsFlagOrDie(argc, argv, start);
-  TenantRouter router(&DefaultFs(), target.root, config);
+  TenantRouter router(&DefaultFs(), target.root, TenantRouterConfig());
   // The router materialises tenants lazily; restore first so the evict
   // path (settle -> fold WAL -> release) runs against live state.
   const StatusOr<Correlator*> live = router.CorrelatorFor(target.tenant);
@@ -1286,9 +1291,7 @@ int TenantParams(int argc, char** argv, int start) {
     std::fputs(text->c_str(), stdout);
     return 0;
   }
-  TenantRouterConfig config;
-  config.threads = ThreadsFlagOrDie(argc, argv, start);
-  TenantRouter router(&DefaultFs(), target.root, config);
+  TenantRouter router(&DefaultFs(), target.root, TenantRouterConfig());
   if (set_path != nullptr) {
     const Status status = router.SetTenantParams(target.tenant, ReadFileOrDie(set_path));
     if (!status.ok()) {
@@ -1308,7 +1311,7 @@ int TenantParams(int argc, char** argv, int start) {
 }
 
 int TenantShutdown(int argc, char** argv, int start) {
-  const char* socket = SocketFlag(argc, argv, start);
+  const char* socket = FlagValue(argc, argv, start, "--socket");
   if (socket == nullptr) {
     std::fprintf(stderr, "seerctl: tenant shutdown requires --socket SPEC\n");
     return 2;
@@ -1331,28 +1334,26 @@ const std::vector<Subcommand>& TenantCommands() {
        "tenant-NNNNNNNN store directory per tenant, each an ordinary\n"
        "single-instance store that `seerctl db` reads unchanged.\n"
        "With --socket, ask a live `seerctl serve` process instead.\n",
-       TenantList},
-      {"stats", "tenant stats {ROOT | --socket SPEC} [--tenant ID] [--threads K]",
+       TenantList, "--socket"},
+      {"stats", "tenant stats {ROOT | --socket SPEC} [--tenant ID]",
        "Per-tenant durable generation, tracked files, memory bytes, and\n"
        "state. Offline, each store is recovered read-only; with --socket,\n"
        "a live server reports the same counters from its router. On a\n"
        "quiesced (checkpointed) tenant the two backends agree exactly.\n\n"
        "  --socket SPEC live-service endpoint (unix:PATH, tcp:HOST:PORT)\n"
-       "  --tenant ID   only this tenant\n"
-       "  --threads K   offline recovery-decode threads (default:\n"
-       "                SEER_THREADS, else all cores)\n",
-       TenantStatsCmd},
-      {"checkpoint", "tenant checkpoint {ROOT | --socket SPEC} TENANT [--threads K]",
+       "  --tenant ID   only this tenant\n",
+       TenantStatsCmd, "--socket --tenant"},
+      {"checkpoint", "tenant checkpoint {ROOT | --socket SPEC} TENANT",
        "Synchronously checkpoint one tenant through the router: fold its\n"
        "WAL into a fresh snapshot generation and prune, exactly as the\n"
        "live service's staggered scheduler would.\n",
-       TenantCheckpoint},
-      {"evict", "tenant evict {ROOT | --socket SPEC} TENANT [--threads K]",
+       TenantCheckpoint, "--socket"},
+      {"evict", "tenant evict {ROOT | --socket SPEC} TENANT",
        "Run the seal-and-release eviction path for one tenant: settle any\n"
        "in-flight checkpoint, fold the WAL into a synchronous snapshot,\n"
        "release the in-memory state. The store is left with an empty WAL,\n"
        "so the next restore replays nothing.\n",
-       TenantEvict},
+       TenantEvict, "--socket"},
       {"params", "tenant params {ROOT | --socket SPEC} TENANT [--set FILE]",
        "Print one tenant's effective correlator parameters (params_io\n"
        "text), or with --set FILE install a persisted per-tenant override\n"
@@ -1360,12 +1361,12 @@ const std::vector<Subcommand>& TenantCommands() {
        "store directory (params.seer), survive eviction and restart, and\n"
        "apply live when set through a running server (max_neighbors stays\n"
        "pinned until restore; it bakes the relation-table slab geometry).\n",
-       TenantParams},
+       TenantParams, "--socket --set"},
       {"shutdown", "tenant shutdown --socket SPEC",
        "Gracefully stop a live server: it acknowledges, drains buffered\n"
        "frames, then seals and checkpoints every resident tenant before\n"
        "exiting.\n",
-       TenantShutdown},
+       TenantShutdown, "--socket"},
   };
   return commands;
 }
@@ -1393,13 +1394,12 @@ uint64_t U64FlagOr(int argc, char** argv, int start, const char* flag, uint64_t 
 
 int ServeCmd(int argc, char** argv, int start) {
   const char* root = Positional(argc, argv, start);
-  const char* socket = SocketFlag(argc, argv, start);
+  const char* socket = FlagValue(argc, argv, start, "--socket");
   if (root == nullptr || socket == nullptr) {
     std::fprintf(stderr, "seerctl: serve requires ROOT and --socket SPEC\n");
     return 2;
   }
   HoardServiceConfig config;
-  config.router.threads = ThreadsFlagOrDie(argc, argv, start);
   config.io_threads = IoThreadsFlagOrDie(argc, argv, start);
   config.router.defaults = ParamsFromFlagOrDie(argc, argv, start);
   config.observer = ControlFromFlagOrDie(argc, argv, start);
@@ -1440,7 +1440,7 @@ int ServeCmd(int argc, char** argv, int start) {
 
 int StreamCmd(int argc, char** argv, int start) {
   const char* trace = Positional(argc, argv, start);
-  const char* socket = SocketFlag(argc, argv, start);
+  const char* socket = FlagValue(argc, argv, start, "--socket");
   const char* tenant_flag = FlagValue(argc, argv, start, "--tenant");
   if (trace == nullptr || socket == nullptr || tenant_flag == nullptr) {
     std::fprintf(stderr, "seerctl: stream requires TRACE, --socket SPEC, and --tenant ID\n");
@@ -1480,7 +1480,7 @@ const std::vector<Subcommand>& Commands() {
        "  --seed S        RNG seed (default 1)\n"
        "  --binary        write the compact binary trace format\n"
        "  -o FILE         output file (required)\n",
-       GenTrace},
+       GenTrace, "--machine --hours --seed -o", "--binary"},
       {"stats", "stats TRACE",
        "Per-operation, per-status, and per-file statistics for a trace.\n", Stats},
       {"replay", "replay TRACE [--params FILE] [--control FILE] [--stats] [--save DIR]",
@@ -1491,50 +1491,49 @@ const std::vector<Subcommand>& Commands() {
        "  --stats         print replay wall time and references/sec\n"
        "  --save DIR      commit the learned database to the snapshot\n"
        "                  store DIR as one new generation\n",
-       Replay},
+       Replay, "--params --control --save", "--stats"},
       {"clusters", "clusters DIR [--min-size N]",
        "Dump the project clusters of the database in store DIR.\n\n"
        "  --min-size N   only clusters with at least N members (default 2)\n",
-       Clusters},
+       Clusters, "--min-size"},
       {"cluster", "cluster DIR [--stats]",
        "Build project clusters and print build statistics.\n\n"
        "  --stats        also print dirty-set size, rescored files, edges\n",
-       ClusterStats},
+       ClusterStats, "", "--stats"},
       {"hoard", "hoard DIR --budget-mb MB [--stats]",
        "Compute hoard contents from the database in store DIR under a space\n"
        "budget. --stats prints the fill-plane breakdown (aggregate cache\n"
        "hits, phase times).\n",
-       Hoard},
+       Hoard, "--budget-mb", "--stats"},
       {"check-config", "check-config FILE",
        "Validate a system control file and echo the parsed configuration.\n", CheckConfig},
       {"suggest-reorg", "suggest-reorg DIR [--min-confidence F]",
-       "Suggest directory reorganisations from the cluster structure.\n", SuggestReorg},
+       "Suggest directory reorganisations from the cluster structure.\n", SuggestReorg,
+       "--min-confidence"},
       {"pipeline", "pipeline TRACE [--control FILE]",
        "Replay a trace through the instrumented observer -> sink-chain ->\n"
        "async-correlator data plane and print per-stage counters, latency\n"
        "percentiles, and queue statistics.\n",
-       Pipeline},
+       Pipeline, "--control"},
       {"db", "db {save|dump|verify|compact|info} DIR ...",
        "Operate on a crash-safe snapshot+WAL store directory.\n"
        "Run `seerctl db` for the sub-command list.\n",
-       Db, /*has_subcommands=*/true},
+       Db, "", "", /*has_subcommands=*/true},
       {"tenant", "tenant {list|stats|evict|checkpoint|params|shutdown} ...",
        "Operate on a multi-tenant hoard-service root: a directory of\n"
        "tenant-NNNNNNNN single-instance stores driven by one TenantRouter\n"
        "(see src/server/tenant_router.h). Every verb works offline against\n"
        "ROOT or live against a server via --socket SPEC. Run\n"
        "`seerctl tenant` for the sub-command list.\n",
-       Tenant, /*has_subcommands=*/true},
-      {"serve", "serve ROOT --socket SPEC [--threads K] [--io-threads K] [--params FILE] [--control FILE]",
+       Tenant, "", "", /*has_subcommands=*/true},
+      {"serve", "serve ROOT --socket SPEC [--io-threads K] [--params FILE] [--control FILE]",
        "Run the hoard service: listen on SPEC (unix:PATH, tcp:HOST:PORT,\n"
        "or a bare UDS path), shard connections over the I/O threads, route\n"
-       "kEvents frames into per-tenant correlators (snapshots encode and\n"
-       "decode on one shared pool), and answer the control protocol\n"
-       "(src/server/service.h). Runs until\n"
+       "kEvents frames into per-tenant correlators, and answer the control\n"
+       "protocol (src/server/service.h). Runs until\n"
        "`seerctl tenant shutdown --socket SPEC`, then seals and\n"
        "checkpoints every resident tenant.\n\n"
        "  --socket SPEC             endpoint to listen on (required)\n"
-       "  --threads K               snapshot encode/decode pool width\n"
        "  --io-threads K            connection shards (default: SEER_THREADS,\n"
        "                            else all cores)\n"
        "  --params FILE             fleet-default correlator parameters\n"
@@ -1542,19 +1541,21 @@ const std::vector<Subcommand>& Commands() {
        "  --checkpoint-interval-s N per-tenant checkpoint period\n"
        "  --max-resident N          tenant residency budget (0 = unbounded)\n"
        "  --max-resident-mb MB      resident-memory budget (0 = unbounded)\n",
-       ServeCmd},
+       ServeCmd,
+       "--socket --io-threads --params --control --checkpoint-interval-s --max-resident "
+       "--max-resident-mb"},
       {"stream", "stream TRACE --socket SPEC --tenant ID",
        "Stream a trace file (text or binary) to a live server as one\n"
        "tenant's reference stream, batched into self-contained event\n"
        "frames, and wait until every event is ingested.\n",
-       StreamCmd},
+       StreamCmd, "--socket --tenant"},
   };
   return commands;
 }
 
 int Main(int argc, char** argv) {
-  // Fail fast on a malformed SEER_THREADS before any command sizes a pool
-  // from it — a typo'd width would silently change every parallel phase.
+  // Fail fast on a malformed SEER_THREADS before `serve` sizes its I/O
+  // shards from it.
   if (const StatusOr<int> env = SeerThreadsFromEnv(); !env.ok()) {
     std::fprintf(stderr, "seerctl: %s\n", env.status().message().c_str());
     return 2;
