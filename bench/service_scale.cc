@@ -14,11 +14,6 @@
 // responsive while the data plane is saturated (verbs execute on shard 0
 // via the mailbox; this measures that path under load).
 //
-// A second, offline section measures allocations per frame for the
-// zero-copy decode path (FrameDecoder::NextView + wire::EventArena)
-// against the legacy one (Frame with an owned payload +
-// wire::DecodeEvents), via a counting global operator new.
-//
 // Scale knobs:
 //   SEER_SVC_TENANTS  concurrent sender connections (default 8)
 //   SEER_SVC_REFS     references per tenant         (default 20000)
@@ -34,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,33 +40,6 @@
 #include "src/server/wire.h"
 #include "src/util/fs.h"
 #include "src/util/path_interner.h"
-
-// --- allocation counting -----------------------------------------------------
-//
-// Thread-local counter bumped by the replaced global operator new; the
-// decode comparison runs single-threaded, so thread-local suffices and
-// the off state costs one relaxed load.
-namespace {
-std::atomic<bool> g_count_allocations{false};
-thread_local uint64_t t_allocation_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    ++t_allocation_count;
-  }
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace seer {
 namespace {
@@ -296,76 +263,6 @@ bool RunSweepPoint(int io_threads, const std::vector<std::vector<std::string>>& 
   return true;
 }
 
-// Allocations per frame for the legacy owned-payload decode versus the
-// arena path, on identical frames. Counts are steady-state: the arena is
-// warmed first so its vectors hold capacity and every path is interned.
-struct DecodeCosts {
-  double legacy_allocs_per_frame = 0.0;
-  double arena_allocs_per_frame = 0.0;
-  size_t events_per_frame = 0;
-};
-
-DecodeCosts MeasureDecodeCosts() {
-  constexpr size_t kRefs = 2048;
-  constexpr int kIters = 50;
-  const std::vector<TraceEvent> events = TenantEvents(0xdec0de, kRefs);
-  const std::string frame = wire::EncodeFrame(wire::FrameType::kEvents, 1,
-                                              wire::EncodeEvents(events));
-  DecodeCosts costs;
-  costs.events_per_frame = events.size();
-
-  // Legacy: Frame with owned payload string, DecodeEvents -> TraceEvent
-  // vector with two strings per event.
-  {
-    // Warm once so one-time lazy setup doesn't bill the steady state.
-    wire::FrameDecoder warm;
-    warm.Append(frame);
-    (void)warm.Next();
-    t_allocation_count = 0;
-    g_count_allocations.store(true);
-    for (int i = 0; i < kIters; ++i) {
-      wire::FrameDecoder decoder;
-      decoder.Append(frame);
-      StatusOr<std::optional<wire::Frame>> next = decoder.Next();
-      if (!next.ok() || !next->has_value()) {
-        break;
-      }
-      StatusOr<std::vector<TraceEvent>> decoded = wire::DecodeEvents((*next)->payload);
-      if (!decoded.ok()) {
-        break;
-      }
-    }
-    g_count_allocations.store(false);
-    costs.legacy_allocs_per_frame = static_cast<double>(t_allocation_count) / kIters;
-  }
-
-  // Arena: NextView into the decoder's buffer, Decode into reused storage.
-  {
-    wire::FrameDecoder decoder;
-    wire::EventArena arena;
-    decoder.Append(frame);  // warm: interns every path, sizes the vectors
-    if (StatusOr<std::optional<wire::FrameView>> v = decoder.NextView();
-        v.ok() && v->has_value()) {
-      (void)arena.Decode((*v)->payload);
-    }
-    t_allocation_count = 0;
-    g_count_allocations.store(true);
-    for (int i = 0; i < kIters; ++i) {
-      decoder.Append(frame);
-      StatusOr<std::optional<wire::FrameView>> view = decoder.NextView();
-      if (!view.ok() || !view->has_value()) {
-        break;
-      }
-      if (const Status decoded = arena.Decode((*view)->payload); !decoded.ok()) {
-        break;
-      }
-    }
-    g_count_allocations.store(false);
-    costs.arena_allocs_per_frame = static_cast<double>(t_allocation_count) / kIters;
-  }
-  return costs;
-}
-
 }  // namespace
 }  // namespace seer
 
@@ -409,11 +306,6 @@ int main() {
                 point.ping_p99_us);
   }
 
-  const DecodeCosts costs = MeasureDecodeCosts();
-  std::printf("\ndecode allocations/frame (%zu events/frame): legacy %.1f, arena %.1f\n",
-              costs.events_per_frame, costs.legacy_allocs_per_frame,
-              costs.arena_allocs_per_frame);
-
   const char* path = "BENCH_service.json";
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -436,14 +328,7 @@ int main() {
                  p.io_threads, p.refs_per_sec, p.elapsed_sec, p.events_ingested, p.frames,
                  p.ping_p50_us, p.ping_p99_us, i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"decode\": {\n");
-  std::fprintf(out, "    \"events_per_frame\": %zu,\n", costs.events_per_frame);
-  std::fprintf(out, "    \"legacy_allocs_per_frame\": %.1f,\n",
-               costs.legacy_allocs_per_frame);
-  std::fprintf(out, "    \"arena_allocs_per_frame\": %.1f\n",
-               costs.arena_allocs_per_frame);
-  std::fprintf(out, "  }\n");
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", path);

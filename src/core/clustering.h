@@ -81,7 +81,7 @@ struct ClusterSet {
 };
 
 // What the last Build() actually did, for the perf surfaces
-// (`seerctl cluster --stats`, bench/clustering_scale, the hoard daemon).
+// (`seerctl cluster --stats`, the hoard daemon).
 struct ClusterBuildStats {
   size_t candidates = 0;
   size_t dirty_files = 0;     // set-changed files detected since last build

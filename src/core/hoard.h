@@ -75,7 +75,7 @@ struct HoardSelection {
 };
 
 // What the last ChooseHoard actually did, for the perf surfaces
-// (`seerctl hoard --stats`, bench/hoard_fill, the tenant router).
+// (`seerctl hoard --stats`, the tenant router).
 struct HoardFillStats {
   size_t clusters = 0;
   size_t reused_aggregates = 0;  // cache hits (no member walk)
@@ -132,7 +132,8 @@ class HoardManager {
   const std::set<PathId>& pinned() const { return pinned_; }
 
   // Incremental fills are on by default; turning them off forces every
-  // ChooseHoard to re-walk all clusters (the benches' scratch baseline).
+  // ChooseHoard to re-walk all clusters (the scratch baseline that
+  // bench/overhead times the warm fill against).
   void set_incremental_fill(bool on) { incremental_fill_ = on; }
   bool incremental_fill() const { return incremental_fill_; }
   void InvalidateFillCache() const { fill_cache_valid_ = false; }

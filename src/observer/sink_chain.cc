@@ -86,25 +86,6 @@ void InstrumentedSink::OnFileExcluded(PathId path) {
   next_->OnFileExcluded(path);
 }
 
-// --- FilterSink ---------------------------------------------------------------
-
-void FilterSink::OnReference(const FileReference& ref) {
-  if (keep_ && !keep_(ref)) {
-    ++dropped_;
-    return;
-  }
-  ++passed_;
-  next_->OnReference(ref);
-}
-
-void FilterSink::OnProcessFork(Pid parent, Pid child) { next_->OnProcessFork(parent, child); }
-void FilterSink::OnProcessExit(Pid pid) { next_->OnProcessExit(pid); }
-void FilterSink::OnFileDeleted(PathId path, Time time) { next_->OnFileDeleted(path, time); }
-void FilterSink::OnFileRenamed(PathId from, PathId to, Time time) {
-  next_->OnFileRenamed(from, to, time);
-}
-void FilterSink::OnFileExcluded(PathId path) { next_->OnFileExcluded(path); }
-
 // --- TenantScopedSink ---------------------------------------------------------
 
 ReferenceSink* TenantScopedSink::Resolve() {
@@ -153,64 +134,10 @@ void TenantScopedSink::OnFileExcluded(PathId path) {
   }
 }
 
-// --- TeeSink ------------------------------------------------------------------
-
-void TeeSink::OnReference(const FileReference& ref) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnReference(ref);
-  }
-}
-
-void TeeSink::OnProcessFork(Pid parent, Pid child) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnProcessFork(parent, child);
-  }
-}
-
-void TeeSink::OnProcessExit(Pid pid) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnProcessExit(pid);
-  }
-}
-
-void TeeSink::OnFileDeleted(PathId path, Time time) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnFileDeleted(path, time);
-  }
-}
-
-void TeeSink::OnFileRenamed(PathId from, PathId to, Time time) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnFileRenamed(from, to, time);
-  }
-}
-
-void TeeSink::OnFileExcluded(PathId path) {
-  for (ReferenceSink* out : outputs_) {
-    out->OnFileExcluded(path);
-  }
-}
-
 // --- SinkChain ----------------------------------------------------------------
 
 SinkChain& SinkChain::Instrument(std::string label, bool measure_latency) {
   auto stage = std::make_unique<InstrumentedSink>(std::move(label), head_, measure_latency);
-  instrumented_.push_back(stage.get());
-  head_ = stage.get();
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
-SinkChain& SinkChain::Filter(FilterSink::Predicate keep) {
-  auto stage = std::make_unique<FilterSink>(std::move(keep), head_);
-  filters_.push_back(stage.get());
-  head_ = stage.get();
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
-SinkChain& SinkChain::TeeInto(ReferenceSink* extra) {
-  auto stage = std::make_unique<TeeSink>(std::vector<ReferenceSink*>{head_, extra});
   head_ = stage.get();
   stages_.push_back(std::move(stage));
   return *this;
@@ -218,16 +145,12 @@ SinkChain& SinkChain::TeeInto(ReferenceSink* extra) {
 
 std::vector<const InstrumentedSink*> SinkChain::instrumented() const {
   // Stored in insertion (consumer-to-producer) order; report producer-first.
-  std::vector<const InstrumentedSink*> out(instrumented_.rbegin(), instrumented_.rend());
-  return out;
-}
-
-uint64_t SinkChain::total_dropped() const {
-  uint64_t dropped = 0;
-  for (const FilterSink* f : filters_) {
-    dropped += f->dropped();
+  std::vector<const InstrumentedSink*> out;
+  out.reserve(stages_.size());
+  for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
+    out.push_back(it->get());
   }
-  return dropped;
+  return out;
 }
 
 std::string SinkChain::FormatMetrics() const {
@@ -246,16 +169,6 @@ std::string SinkChain::FormatMetrics() const {
                   static_cast<unsigned long long>(h.PercentileNs(0.50)),
                   static_cast<unsigned long long>(h.PercentileNs(0.99)),
                   static_cast<unsigned long long>(h.max_ns()));
-    out += line;
-  }
-  if (!filters_.empty()) {
-    uint64_t passed = 0;
-    for (const FilterSink* f : filters_) {
-      passed += f->passed();
-    }
-    std::snprintf(line, sizeof(line), "filters: %llu passed, %llu dropped\n",
-                  static_cast<unsigned long long>(passed),
-                  static_cast<unsigned long long>(total_dropped()));
     out += line;
   }
   return out;

@@ -7,11 +7,8 @@
 //   * InstrumentedSink — per-callback-kind counters plus a log2-bucketed
 //     nanosecond latency histogram of the downstream call (the cost added
 //     to the traced syscall, Section 5.3);
-//   * FilterSink      — drops OnReference messages failing a predicate
-//     (namespace and process-lifecycle callbacks always pass, or the
-//     correlator's lifetimes would unbalance);
-//   * TeeSink         — fans one stream out to several consumers (e.g. a
-//     live correlator plus a trace archiver).
+//   * TenantScopedSink — routes one tenant's stream to its current
+//     consumer in the multi-tenant router.
 //
 // SinkChain owns a stack of decorators terminating at a caller-provided
 // sink and renders their metrics for seerctl's `pipeline` command.
@@ -92,31 +89,6 @@ class InstrumentedSink : public ReferenceSink {
   LatencyHistogram latency_;
 };
 
-// Forwards OnReference only when `keep` approves. Process lifecycle and
-// namespace messages are structural and always forwarded.
-class FilterSink : public ReferenceSink {
- public:
-  using Predicate = std::function<bool(const FileReference& ref)>;
-
-  FilterSink(Predicate keep, ReferenceSink* next) : keep_(std::move(keep)), next_(next) {}
-
-  void OnReference(const FileReference& ref) override;
-  void OnProcessFork(Pid parent, Pid child) override;
-  void OnProcessExit(Pid pid) override;
-  void OnFileDeleted(PathId path, Time time) override;
-  void OnFileRenamed(PathId from, PathId to, Time time) override;
-  void OnFileExcluded(PathId path) override;
-
-  uint64_t dropped() const { return dropped_; }
-  uint64_t passed() const { return passed_; }
-
- private:
-  Predicate keep_;
-  ReferenceSink* next_;
-  uint64_t dropped_ = 0;
-  uint64_t passed_ = 0;
-};
-
 // Tags a reference stream with one TenantId and routes every callback
 // through a resolver to that tenant's current consumer. The resolver runs
 // per callback, not once: the multi-tenant router may evict a cold
@@ -157,30 +129,14 @@ class TenantScopedSink : public ReferenceSink {
   uint64_t unrouted_ = 0;
 };
 
-// Replicates every message to each output, in order.
-class TeeSink : public ReferenceSink {
- public:
-  explicit TeeSink(std::vector<ReferenceSink*> outputs) : outputs_(std::move(outputs)) {}
-
-  void OnReference(const FileReference& ref) override;
-  void OnProcessFork(Pid parent, Pid child) override;
-  void OnProcessExit(Pid pid) override;
-  void OnFileDeleted(PathId path, Time time) override;
-  void OnFileRenamed(PathId from, PathId to, Time time) override;
-  void OnFileExcluded(PathId path) override;
-
- private:
-  std::vector<ReferenceSink*> outputs_;
-};
-
 // Owning builder: stages added later sit closer to the producer, so
 //
 //   SinkChain chain(&correlator);
-//   chain.Filter(pred);               // runs second
+//   chain.Instrument("correlator");   // runs second
 //   chain.Instrument("observer");     // runs first
 //   observer.set_sink(chain.head());
 //
-// yields observer -> instrument -> filter -> correlator.
+// yields observer -> "observer" stage -> "correlator" stage -> correlator.
 class SinkChain {
  public:
   explicit SinkChain(ReferenceSink* terminal) : head_(terminal) {}
@@ -188,14 +144,11 @@ class SinkChain {
   SinkChain& operator=(const SinkChain&) = delete;
 
   SinkChain& Instrument(std::string label, bool measure_latency = true);
-  SinkChain& Filter(FilterSink::Predicate keep);
-  SinkChain& TeeInto(ReferenceSink* extra);
 
   ReferenceSink* head() const { return head_; }
 
   // Instrumented stages in producer-to-consumer order.
   std::vector<const InstrumentedSink*> instrumented() const;
-  uint64_t total_dropped() const;
 
   // Human-readable per-stage metrics table (seerctl pipeline).
   std::string FormatMetrics() const;
@@ -203,9 +156,7 @@ class SinkChain {
  private:
   ReferenceSink* head_;
   // Producer-to-consumer order is the reverse of insertion order.
-  std::vector<std::unique_ptr<ReferenceSink>> stages_;
-  std::vector<const InstrumentedSink*> instrumented_;
-  std::vector<const FilterSink*> filters_;
+  std::vector<std::unique_ptr<InstrumentedSink>> stages_;
 };
 
 }  // namespace seer

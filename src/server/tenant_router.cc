@@ -194,7 +194,9 @@ StatusOr<std::string> TenantRouter::GetTenantParams(TenantId tenant) const {
   if (fs_->Exists(path)) {
     SEER_ASSIGN_OR_RETURN(const std::string text, fs_->ReadFile(path));
     SEER_ASSIGN_OR_RETURN(effective, ParseSeerParams(text, config_.defaults));
-  } else if (t == nullptr) {
+  } else if (t == nullptr && !fs_->Exists(SnapshotStore::TenantDirectory(root_, tenant))) {
+    // A tenant with a store on disk but no params.seer runs the defaults,
+    // whether or not this router has registered it yet.
     return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
   return FormatSeerParams(effective);

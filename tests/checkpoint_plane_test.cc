@@ -226,6 +226,47 @@ TEST(CheckpointPlane, DeltaChainRecoveryMatchesFullSnapshot) {
   }
 }
 
+// Delta economics at Section 5.3 scale: after touching 1% of a
+// 16k-file correlator (one run of whole projects, the locality a real
+// working set has), the delta snapshot is at most a quarter of the full
+// one. A byte count, so it holds on any host and under any sanitizer.
+TEST(CheckpointPlane, OnePercentTouchMakesASmallDelta) {
+  constexpr int kFiles = 16384;
+  constexpr int kFilesPerProject = 16;
+  Correlator correlator;
+  const auto reference = [&](int f, Time time) {
+    const int project = f / kFilesPerProject;
+    correlator.OnReference(Ref(1 + project,
+                               "/delta/p" + std::to_string(project) + "/f" +
+                                   std::to_string(f % kFilesPerProject),
+                               time));
+  };
+  // Two passes, one process stream per project, so every pair inside a
+  // project has observations.
+  Time t = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int f = 0; f < kFiles; ++f) {
+      reference(f, t += 1000);
+    }
+  }
+  const SealedSnapshot full_seal = correlator.SealSnapshot();
+  const std::string full = EncodeSealedSnapshot(full_seal);
+
+  for (int f = 0; f < kFiles / 100; ++f) {
+    reference(f, t += 1000);
+  }
+  Correlator::SealRequest request;
+  request.delta = true;
+  request.base_generation = 1;
+  request.relation_epoch = full_seal.relation_epoch;
+  request.stream_epoch = full_seal.stream_epoch;
+  const std::string delta = EncodeSealedSnapshot(correlator.SealSnapshot(request));
+
+  ASSERT_FALSE(full.empty());
+  EXPECT_LE(static_cast<double>(delta.size()), 0.25 * static_cast<double>(full.size()))
+      << "delta " << delta.size() << " B vs full " << full.size() << " B";
+}
+
 // A WAL tail on top of a delta-chain head must replay too.
 TEST(CheckpointPlane, ChainPlusWalTailRecoversEverything) {
   RealFs fs;

@@ -1,11 +1,16 @@
 // Equivalence tests for the incremental hoard-fill plane: a warm
 // HoardManager (cached cluster aggregates) must produce a selection
 // byte-identical to a cold scratch fill after arbitrary touch/delete/rename
-// churn, however many independent managers fill at once. This is the
-// determinism contract the bench and the tenant router rely on.
+// churn, however many independent managers fill at once. Scratch and warm
+// fills run the same code with the cache off or on, so both are also
+// checked against ReferenceChooseHoard, an independent whole-project fill
+// that shares none of the plane's code. This is the determinism contract
+// the tenant router relies on.
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +108,93 @@ class ChurnHarness {
   Time now_ = 1;
   Pid next_pid_ = 100'000;
 };
+
+// The reference fill: the plain greedy whole-project selection of Section
+// 4.6, written without the plane's caches, columns or dense marks. A
+// std::set holds the selection, a project's priority is the most recent
+// reference to any of its members (deleted ones included), ties break on
+// cluster index, and every cluster walks its members on every fill.
+struct ReferenceSelection {
+  std::set<PathId> files;
+  uint64_t bytes_used = 0;
+  size_t projects_hoarded = 0;
+  size_t projects_skipped = 0;
+};
+
+ReferenceSelection ReferenceChooseHoard(const Correlator& correlator,
+                                        const ClusterSet& clusters,
+                                        const std::set<PathId>& always_hoard,
+                                        uint64_t budget_bytes,
+                                        const std::function<uint64_t(PathId)>& size_of) {
+  ReferenceSelection sel;
+  auto add_file = [&](PathId path) {
+    if (path == kInvalidPathId || sel.files.count(path) != 0) {
+      return;
+    }
+    sel.bytes_used += size_of(path);
+    sel.files.insert(path);
+  };
+  for (const PathId path : always_hoard) {
+    add_file(path);
+  }
+  const FileTable& files = correlator.files();
+  struct Ranked {
+    uint64_t priority = 0;
+    uint32_t index = 0;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(clusters.clusters.size());
+  for (uint32_t i = 0; i < clusters.clusters.size(); ++i) {
+    uint64_t priority = 0;
+    for (const FileId id : clusters.clusters[i].members) {
+      priority = std::max(priority, files.Get(id).last_ref_seq);
+    }
+    ranked.push_back({priority, i});
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    return a.priority > b.priority || (a.priority == b.priority && a.index < b.index);
+  });
+  for (const Ranked& r : ranked) {
+    const Cluster& cluster = clusters.clusters[r.index];
+    uint64_t extra = 0;
+    for (const FileId id : cluster.members) {
+      const FileRecord& rec = files.Get(id);
+      if (!rec.deleted && rec.path != kInvalidPathId && sel.files.count(rec.path) == 0) {
+        extra += size_of(rec.path);
+      }
+    }
+    if (sel.bytes_used + extra > budget_bytes) {
+      ++sel.projects_skipped;
+      continue;
+    }
+    for (const FileId id : cluster.members) {
+      const FileRecord& rec = files.Get(id);
+      if (!rec.deleted && rec.path != kInvalidPathId) {
+        add_file(rec.path);
+      }
+    }
+    ++sel.projects_hoarded;
+  }
+  return sel;
+}
+
+// The plane's selection against the reference. Pins enter the plane after
+// always-hoard, so the reference takes both as its unconditional set.
+void ExpectMatchesReference(const HoardSelection& got, const ChurnHarness& h,
+                            const ClusterSet& clusters, uint64_t budget,
+                            const std::set<PathId>& always, const std::set<PathId>& pins,
+                            const std::string& what) {
+  std::set<PathId> unconditional = always;
+  unconditional.insert(pins.begin(), pins.end());
+  const ReferenceSelection want =
+      ReferenceChooseHoard(h.correlator(), clusters, unconditional, budget, SizeOf);
+  // std::set iterates ascending, as sorted_ids is.
+  EXPECT_EQ(std::vector<PathId>(want.files.begin(), want.files.end()), got.sorted_ids)
+      << what << ": reference";
+  EXPECT_EQ(want.bytes_used, got.bytes_used) << what << ": reference";
+  EXPECT_EQ(want.projects_hoarded, got.projects_hoarded) << what << ": reference";
+  EXPECT_EQ(want.projects_skipped, got.projects_skipped) << what << ": reference";
+}
 
 void ExpectSameSelection(const HoardSelection& want, const HoardSelection& got,
                          const std::string& what) {
@@ -202,6 +294,9 @@ TEST(HoardFill, IncrementalMatchesScratchUnderChurn) {
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/false);
     ASSERT_FALSE(want.files.empty());
+    ASSERT_GT(want.projects_skipped, 0u);  // the budget binds
+    ExpectMatchesReference(want, h, clusters, budget, always, {},
+                           "round " + std::to_string(round));
     ExpectGroupsMatch(want, groups, h, clusters, always, "round " + std::to_string(round));
     if (round > 0 && round != 4) {
       // Small churn must hit the cache: a handful of dirty clusters, the
@@ -261,6 +356,8 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
     const ClusterSet clusters = h.correlator().BuildClusters();
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, pins, /*partial=*/false);
+    ExpectMatchesReference(want, h, clusters, budget, always, pins,
+                           "pin round " + std::to_string(round));
     ExpectGroupsMatch(want, groups, h, clusters, always, "pin round " + std::to_string(round));
     for (const PathId p : pins) {
       EXPECT_TRUE(want.Contains(p));
@@ -272,7 +369,7 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
 }
 
 // Turning incremental fill off must force a full rewalk every time (the
-// benches' scratch baseline) while still matching results.
+// scratch baseline) while still matching results.
 TEST(HoardFill, DisabledIncrementalAlwaysRewalks) {
   ChurnHarness h(0xABba, /*projects=*/40, /*files_per=*/3, "/eqcold");
   const uint64_t budget = 15'000;
@@ -292,6 +389,8 @@ TEST(HoardFill, DisabledIncrementalAlwaysRewalks) {
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/false);
     ExpectSameSelection(want, got, "cold round " + std::to_string(round));
+    ExpectMatchesReference(got, h, clusters, budget, always, {},
+                           "cold round " + std::to_string(round));
   }
 }
 

@@ -987,6 +987,25 @@ TEST(TenantRouterAux, NeighborCountAboveLimitIsRejected) {
   EXPECT_EQ(StatusCode::kInvalidArgument, opened.status().code());
 }
 
+// An offline router (the seerctl reader) has registered no tenant. A
+// tenant whose store exists on disk without a params.seer runs the
+// defaults, so its params read back as the defaults; a tenant with no
+// directory at all is still unknown.
+TEST(TenantRouterAux, ParamsOfUnregisteredTenantWithStoreAreDefaults) {
+  MemFs fs;
+  ASSERT_TRUE(fs.MakeDirs(SnapshotStore::TenantDirectory("/srv", 3)).ok());
+  const TenantRouterConfig config = BaseRouterConfig();
+  TenantRouter router(&fs, "/srv", config);
+
+  const StatusOr<std::string> text = router.GetTenantParams(3);
+  ASSERT_TRUE(text.ok()) << text.status().message();
+  EXPECT_EQ(FormatSeerParams(config.defaults), *text);
+
+  const StatusOr<std::string> unknown = router.GetTenantParams(4);
+  EXPECT_EQ(StatusCode::kNotFound, unknown.status().code());
+  EXPECT_FALSE(fs.Exists(SnapshotStore::TenantDirectory("/srv", 4)));
+}
+
 TEST(TenantRouterAux, EvictionPersistsAndRestorePreservesPins) {
   MemFs fs;
   TenantRouter router(&fs, "/srv", BaseRouterConfig());

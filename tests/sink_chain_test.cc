@@ -100,55 +100,26 @@ TEST(LatencyHistogram, PercentileBoundsContainSamples) {
   EXPECT_LT(h.PercentileNs(0.5), h.PercentileNs(1.0));
 }
 
-TEST(FilterSink, DropsOnlyFailingReferences) {
-  RecordingSink terminal;
-  const PathId noisy = P("/tmp/noise");
-  FilterSink filter([noisy](const FileReference& ref) { return ref.path != noisy; },
-                    &terminal);
-  filter.OnReference(Ref(1, RefKind::kPoint, "/keep/me", 1));
-  filter.OnReference(Ref(1, RefKind::kPoint, "/tmp/noise", 2));
-  filter.OnReference(Ref(1, RefKind::kPoint, "/keep/too", 3));
-  EXPECT_EQ(terminal.refs.size(), 2u);
-  EXPECT_EQ(filter.passed(), 2u);
-  EXPECT_EQ(filter.dropped(), 1u);
-
-  // Namespace and lifecycle messages are structural: never filtered.
-  filter.OnFileDeleted(noisy, 4);
-  filter.OnProcessFork(1, 2);
-  EXPECT_EQ(terminal.deleted.size(), 1u);
-  EXPECT_EQ(terminal.forks, 1);
-}
-
-TEST(TeeSink, ReplicatesToAllOutputsInOrder) {
-  RecordingSink first;
-  RecordingSink second;
-  TeeSink tee({&first, &second});
-  DriveAll(&tee);
-  EXPECT_EQ(first.refs, second.refs);
-  EXPECT_EQ(first.deleted, second.deleted);
-  EXPECT_EQ(first.excluded, second.excluded);
-  EXPECT_EQ(first.forks, 1);
-  EXPECT_EQ(second.exits, 1);
-}
-
 TEST(SinkChain, ComposesProducerToConsumer) {
   RecordingSink terminal;
-  RecordingSink archive;
   SinkChain chain(&terminal);
-  chain.TeeInto(&archive);                // runs third: fan out
-  const PathId drop = P("/chain/drop");
-  chain.Filter([drop](const FileReference& ref) { return ref.path != drop; });
-  chain.Instrument("observer");           // runs first: sees everything
+  chain.Instrument("correlator", /*measure_latency=*/false);  // runs second
+  chain.Instrument("observer");                               // runs first
+  DriveAll(chain.head());
 
-  chain.head()->OnReference(Ref(1, RefKind::kPoint, "/chain/keep", 1));
-  chain.head()->OnReference(Ref(1, RefKind::kPoint, "/chain/drop", 2));
-
-  ASSERT_EQ(chain.instrumented().size(), 1u);
-  EXPECT_EQ(chain.instrumented()[0]->counters().references, 2u);  // pre-filter
-  EXPECT_EQ(chain.total_dropped(), 1u);
-  EXPECT_EQ(terminal.refs.size(), 1u);   // post-filter
-  EXPECT_EQ(archive.refs.size(), 1u);    // tee saw the same stream
-  EXPECT_EQ(terminal.refs, archive.refs);
+  const std::vector<const InstrumentedSink*> stages = chain.instrumented();
+  ASSERT_EQ(stages.size(), 2u);
+  EXPECT_EQ(stages[0]->label(), "observer");  // producer first
+  EXPECT_EQ(stages[1]->label(), "correlator");
+  EXPECT_EQ(stages[0]->counters().total(), 8u);
+  EXPECT_EQ(stages[1]->counters().total(), 8u);
+  // Only the producer-side stage was asked to time its downstream call,
+  // which includes the consumer-side stage.
+  EXPECT_EQ(stages[0]->latency().count(), 3u);
+  EXPECT_EQ(stages[1]->latency().count(), 0u);
+  EXPECT_EQ(terminal.refs.size(), 3u);
+  EXPECT_EQ(terminal.forks, 1);
+  EXPECT_EQ(terminal.excluded.size(), 1u);
 }
 
 TEST(SinkChain, FormatMetricsNamesEveryStage) {

@@ -6,23 +6,17 @@ Two modes:
   diff BASELINE.json CURRENT.json [--threshold 0.10]
       Walks both JSON trees and flags numeric leaves that regressed by more
       than the threshold (default 10%). Direction is inferred from the key
-      name: *_per_sec / speedup / stall_reduction are higher-is-better;
-      *_ns* / *_ms* / *_us* / *_bytes / alloc* / ratio are lower-is-better;
-      everything else is informational. Exits 1 on any regression.
+      name: *_per_sec / speedup are higher-is-better; *_ns* / *_ms* / *_us*
+      / *_bytes / alloc* / ratio are lower-is-better; everything else is
+      informational. Exits 1 on any regression.
 
   gate FILE.json [FILE.json ...]
-      Checks the intra-file scaling gates this repo commits to:
-        overhead:          steady-state batched ingest allocs/ref == 0
-                           (any host); slab ns/obs <= legacy ns/obs
-        service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread;
-                           arena decode allocs/frame <= legacy (any host)
-        hoard_fill:        selection identical across modes (any host);
-                           incremental fill <= 0.25x scratch at 1% touch
-                           (any host); fill allocs <= legacy (any host)
-      Multi-core gates apply ONLY when the producing host had >= 4 CPUs and
-      the bench recorded "scaling_valid": true — a 1-CPU runner measures
+      Checks the intra-file scaling gate this repo commits to:
+        service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread
+      The gate applies ONLY when the producing host had >= 4 CPUs and the
+      bench recorded "scaling_valid": true — a 1-CPU runner measures
       oversubscription, not speedup, and must not fail the build for it.
-      Skipped gates are reported loudly and exit 0.
+      A skipped gate is reported loudly and exits 0.
 
 Counting-scale fields (counts, capacities, thread lists) and machine
 metadata are never treated as regressions.
@@ -35,18 +29,13 @@ import sys
 # Keys whose values are configuration/metadata, never perf: comparing them
 # across runs is meaningless or misleading.
 META_KEYS = {
-    "host_cpus", "seer_threads", "scaling_valid", "bench", "transport",
-    "threads", "files", "references", "refs", "streams", "tenants",
-    "refs_per_tenant", "total_refs", "queue_capacity",
-    "clusters", "touched", "batches", "barriers",
-    "frames_received", "events_ingested", "dirty_files", "files_rescored",
-    "budget_bytes",
-    "dirty_clusters", "reused_aggregates", "touched_files",
+    "host_cpus", "seer_threads", "scaling_valid", "bench", "threads",
+    "tenants", "refs_per_tenant", "frames_received", "events_ingested",
 }
 
-HIGHER_IS_BETTER = ("_per_sec", "speedup", "stall_reduction")
+HIGHER_IS_BETTER = ("_per_sec", "speedup")
 LOWER_IS_BETTER = ("_ns", "ns_", "_ms", "ms_", "_us", "us_", "_bytes",
-                   "alloc", "ratio", "_sec", "high_water")
+                   "alloc", "ratio", "_sec")
 
 
 def direction(key):
@@ -72,8 +61,6 @@ def walk(node, path=""):
             tag = None
             if isinstance(value, dict) and "threads" in value:
                 tag = f"threads={value['threads']}"
-            elif isinstance(value, dict) and "files" in value:
-                tag = f"files={value['files']}"
             yield from walk(value, f"{path}[{tag if tag else i}]")
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         key = path.rsplit(".", 1)[-1].split("[")[0]
@@ -145,35 +132,6 @@ def sweep_rate(rows, threads, key):
     return 0.0
 
 
-def gate_overhead(doc, failures):
-    host_cpus = doc.get("host_cpus", 1)
-    ingest = doc.get("ingest", {})
-    # Allocation counts do not depend on core count, so this gate holds on
-    # any host.
-    allocs = ingest.get("allocs_per_ref")
-    if allocs is None:
-        failures.append("overhead: ingest.allocs_per_ref missing from the JSON")
-    elif allocs != 0:
-        failures.append(
-            f"overhead: steady-state batched ingest allocates {allocs:.4f}/ref, "
-            "gate requires 0")
-    else:
-        print("  PASS ingest allocations: 0 allocs/ref in steady state")
-    if host_cpus >= 4 and doc.get("scaling_valid", False):
-        layout = ingest.get("neighbor_layout", {})
-        legacy = layout.get("legacy_ns_per_obs", 0.0)
-        slab = layout.get("slab_ns_per_obs", 0.0)
-        if legacy > 0 and slab > legacy:
-            failures.append(
-                f"overhead: slab hot loop {slab:.1f} ns/obs is slower than "
-                f"legacy {legacy:.1f} ns/obs")
-        elif legacy > 0:
-            print(f"  PASS slab layout: {slab:.1f} ns/obs <= legacy {legacy:.1f}")
-    else:
-        print(f"  SKIPPED overhead slab-layout gate: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')}")
-
-
 def gate_service(doc, failures):
     host_cpus = doc.get("host_cpus", 1)
     if host_cpus >= 4 and doc.get("scaling_valid", False):
@@ -194,50 +152,10 @@ def gate_service(doc, failures):
         print(f"  SKIPPED service scaling gate: host_cpus={host_cpus} "
               f"(< 4) or scaling_valid={doc.get('scaling_valid')} — "
               "multi-thread numbers measure oversubscription on this host")
-    # The decode comparison is single-threaded and holds on any host.
-    decode = doc.get("decode", {})
-    legacy = decode.get("legacy_allocs_per_frame", 0.0)
-    arena = decode.get("arena_allocs_per_frame", 0.0)
-    if legacy > 0 and arena > legacy:
-        failures.append(
-            f"service_scale: arena decode allocates {arena:.1f}/frame, more "
-            f"than the legacy path's {legacy:.1f}/frame")
-    elif legacy > 0:
-        print(f"  PASS arena decode allocs: {arena:.1f}/frame <= legacy "
-              f"{legacy:.1f}/frame")
-
-
-def gate_hoard_fill(doc, failures):
-    # Every gate here is host-independent: ratios and identity within one
-    # process.
-    if not doc.get("selection_identical", False):
-        failures.append(
-            "hoard_fill: selections diverged across legacy/scratch/"
-            "incremental fills — the fill plane must be bit-deterministic")
-    else:
-        print("  PASS selection identical across all modes")
-    ratio = doc.get("incremental_vs_scratch", 1.0)
-    if ratio > 0.25:
-        failures.append(
-            f"hoard_fill: incremental fill after a 1% touch is {ratio:.3f}x "
-            "the scratch fill — gate requires <= 0.25x")
-    elif ratio > 0:
-        print(f"  PASS incremental fill: {ratio:.3f}x scratch at 1% touch")
-    legacy = doc.get("legacy", {}).get("allocs_per_fill", 0.0)
-    current = doc.get("scratch", {}).get("allocs_per_fill", 0.0)
-    if legacy > 0 and current > legacy:
-        failures.append(
-            f"hoard_fill: scratch fill allocates {current:.1f}/fill, more "
-            f"than the legacy path's {legacy:.1f}/fill")
-    elif legacy > 0:
-        print(f"  PASS fill allocations: {current:.1f}/fill <= legacy "
-              f"{legacy:.1f}/fill")
 
 
 GATES = {
-    "overhead": gate_overhead,
     "service_scale": gate_service,
-    "hoard_fill": gate_hoard_fill,
 }
 
 

@@ -362,6 +362,12 @@ int GenTrace(int argc, char** argv, int start) {
     std::fprintf(stderr, "seerctl: gen-trace requires -o FILE\n");
     return 2;
   }
+  if (machine != nullptr &&
+      (std::strlen(machine) != 1 || machine[0] < 'A' || machine[0] > 'I')) {
+    std::fprintf(stderr, "seerctl gen-trace: --machine must be one letter A-I, got '%s'\n",
+                 machine);
+    return 2;
+  }
   const MachineProfile profile = GetMachineProfile(machine != nullptr ? machine[0] : 'D');
   const double active_hours = hours != nullptr ? std::atof(hours) : 1.0;
   const uint64_t seed_value = seed != nullptr ? std::strtoull(seed, nullptr, 10) : 1;
