@@ -12,6 +12,7 @@ namespace seer {
 namespace {
 
 constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+constexpr uint32_t kNoDirNode = static_cast<uint32_t>(-1);  // file_dir_: not built yet
 
 // Per-slot rescore modes (rescore_). Partial keeps cached edges to clean
 // targets and rescores only edges touching dirty files; full rebuilds the
@@ -19,25 +20,6 @@ constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
 constexpr uint8_t kKeepBucket = 0;
 constexpr uint8_t kPartialRescore = 1;
 constexpr uint8_t kFullRescore = 2;
-
-// Number of non-empty '/'-separated segments, as SplitPath counts them.
-size_t CountComponents(std::string_view path) {
-  size_t count = 0;
-  size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') {
-      ++i;
-    }
-    if (i >= path.size()) {
-      break;
-    }
-    ++count;
-    while (i < path.size() && path[i] != '/') {
-      ++i;
-    }
-  }
-  return count;
-}
 
 }  // namespace
 
@@ -56,7 +38,8 @@ ClusterBuilder::ClusterBuilder(const SeerParams& params, const FileTable* files,
       files_(files),
       relations_(relations),
       // PairKey packs lo < hi, so all-ones can never be a real key.
-      investigated_(static_cast<uint64_t>(-1)) {}
+      investigated_(static_cast<uint64_t>(-1)),
+      dir_nodes_{DirNode{0, 0}} {}
 
 uint64_t ClusterBuilder::PairKey(FileId a, FileId b) const {
   const FileId lo = std::min(a, b);
@@ -92,6 +75,9 @@ void ClusterBuilder::ClearInvestigatedPairs() {
 }
 
 double ClusterBuilder::InvestigatedStrength(FileId a, FileId b) const {
+  if (investigated_.empty()) {
+    return 0.0;  // every unstarred Figure 2 row: no hash probe per edge
+  }
   const double* strength = investigated_.Find(PairKey(a, b));
   return strength == nullptr ? 0.0 : *strength;
 }
@@ -137,41 +123,58 @@ void ClusterBuilder::RefreshFileInputs(FileId f) const {
   std::vector<FileId>& row = live_row_[f];
   row.clear();
   // Append overload: one pass over the id stripe, no temporary vector.
+  // Unsorted: ScoreSlot counts shared neighbours through a stamp array.
   relations_->LiveNeighborIds(f, &row);
-  std::sort(row.begin(), row.end());
 
-  // One interner shared-lock hit per refreshed file, not per scored edge;
-  // the view is stable (the interner is append-only).
-  const std::string_view path = files_->PathOf(f);
-  file_path_[f] = path;
-  std::vector<std::string_view>& dirs = file_dirs_[f];
-  dirs.clear();
-  const size_t comps = CountComponents(path);
-  const size_t want = comps > 0 ? comps - 1 : 0;  // drop the basename
-  dirs.reserve(want);
-  size_t pos = 0;
-  while (pos < path.size() && dirs.size() < want) {
-    while (pos < path.size() && path[pos] == '/') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < path.size() && path[pos] != '/') {
-      ++pos;
-    }
-    if (pos > start) {
-      dirs.push_back(path.substr(start, pos - start));
-    }
+  // The directory node changes only with the file's name, so a clean full
+  // rebuild re-reads one PathId per file and touches no string.
+  const PathId path = files_->Get(f).path;
+  if (file_dir_[f] == kNoDirNode || dir_path_[f] != path) {
+    dir_path_[f] = path;
+    file_dir_[f] = DirNodeOf(files_->PathOf(f));
   }
 }
 
-int ClusterBuilder::DirDistance(FileId a, FileId b) const {
-  const std::vector<std::string_view>& da = file_dirs_[a];
-  const std::vector<std::string_view>& db = file_dirs_[b];
-  size_t common = 0;
-  while (common < da.size() && common < db.size() && da[common] == db[common]) {
-    ++common;
+uint32_t ClusterBuilder::DirNodeOf(std::string_view path) const {
+  // The containing directory exactly as DirectoryDistance derives it, so
+  // odd spellings ("//a//b/x", a bare "x", a trailing '/') agree with the
+  // reference. Each prefix of the component list is one node; a node's key
+  // is the '/'-joined prefix, which no two distinct prefixes share.
+  uint32_t node = 0;  // root: no directory components
+  std::string prefix;
+  for (const std::string& comp : SplitPath(Dirname(NormalizePath(path)))) {
+    prefix.append("/").append(comp);
+    const auto [it, inserted] =
+        dir_index_.try_emplace(prefix, static_cast<uint32_t>(dir_nodes_.size()));
+    if (inserted) {
+      dir_nodes_.push_back(DirNode{node, dir_nodes_[node].depth + 1});
+    }
+    node = it->second;
   }
-  return static_cast<int>((da.size() - common) + (db.size() - common));
+  return node;
+}
+
+int ClusterBuilder::DirDistance(FileId a, FileId b) const {
+  // Tree edges between the two directory nodes: climb the deeper one to
+  // the other's depth, then both to their lowest common ancestor. Files in
+  // one directory (the common case) return at the first compare.
+  uint32_t x = file_dir_[a];
+  uint32_t y = file_dir_[b];
+  int distance = 0;
+  while (dir_nodes_[x].depth > dir_nodes_[y].depth) {
+    x = dir_nodes_[x].parent;
+    ++distance;
+  }
+  while (dir_nodes_[y].depth > dir_nodes_[x].depth) {
+    y = dir_nodes_[y].parent;
+    ++distance;
+  }
+  while (x != y) {
+    x = dir_nodes_[x].parent;
+    y = dir_nodes_[y].parent;
+    distance += 2;
+  }
+  return distance;
 }
 
 bool ClusterBuilder::PlanIncremental(const std::vector<FileId>& candidates) const {
@@ -275,6 +278,11 @@ struct ClusterBuilder::ScoreScratch {
   std::vector<FileId> near;
   std::vector<FileId> far;
   std::vector<FileId> old_near;
+  // FileId-indexed: mark[g] == tick exactly when g is in the live row of
+  // the slot being scored. Each slot takes a fresh tick, so the array is
+  // never cleared.
+  std::vector<uint32_t> mark;
+  uint32_t tick = 0;
 };
 
 void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candidates,
@@ -288,6 +296,10 @@ void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candida
   s->near.clear();
   s->far.clear();
   s->old_near.clear();
+  ++s->tick;
+  for (const FileId g : frow) {
+    s->mark[g] = s->tick;
+  }
 
   // For the fast union path: remember which near edges (to still-live
   // candidates) the cached bucket had, to detect disappearing ones below.
@@ -305,21 +317,12 @@ void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candida
     }
   }
 
+  // Rows hold each neighbour once, so the hits of g's row in f's marks
+  // are the sorted-merge intersection count of AdjustedSharedCount.
   auto score_edge = [&](FileId g) {
-    const std::vector<FileId>& grow = live_row_[g];
     size_t shared = 0;
-    size_t a = 0;
-    size_t b = 0;
-    while (a < frow.size() && b < grow.size()) {
-      if (frow[a] == grow[b]) {
-        ++shared;
-        ++a;
-        ++b;
-      } else if (frow[a] < grow[b]) {
-        ++a;
-      } else {
-        ++b;
-      }
+    for (const FileId h : live_row_[g]) {
+      shared += s->mark[h] == s->tick ? 1 : 0;
     }
     double x = static_cast<double>(shared);
     if (params_.dir_distance_weight > 0.0) {
@@ -347,7 +350,7 @@ void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candida
           continue;
         }
         // Already scored through the neighbor row above.
-        if (std::binary_search(frow.begin(), frow.end(), partner)) {
+        if (s->mark[partner] == s->tick) {
           continue;
         }
         score_edge(partner);
@@ -379,7 +382,7 @@ void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candida
             !dirty_flag_[partner]) {
           continue;
         }
-        if (std::binary_search(frow.begin(), frow.end(), partner)) {
+        if (s->mark[partner] == s->tick) {
           continue;
         }
         score_edge(partner);
@@ -428,8 +431,8 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
   }
   if (live_row_.size() < max_file) {
     live_row_.resize(max_file);
-    file_path_.resize(max_file);
-    file_dirs_.resize(max_file);
+    dir_path_.resize(max_file, kInvalidPathId);
+    file_dir_.resize(max_file, kNoDirNode);
   }
   if (edge_cache_.size() < max_file) {
     edge_cache_.resize(max_file);
@@ -461,6 +464,7 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
   std::vector<uint8_t> edge_removed(n, 0);  // per slot
   const bool fast_union = incremental && fast_union_ok_ && comp_valid_;
   ScoreScratch scratch;
+  scratch.mark.assign(max_file, 0);
   for (uint32_t slot = 0; slot < n; ++slot) {
     if (rescore_[slot] != kKeepBucket) {
       ScoreSlot(slot, candidates, rescore_[slot], &scratch, &stats_.edges_scored,

@@ -31,7 +31,9 @@
 #define SRC_CORE_CLUSTERING_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/file_table.h"
@@ -90,7 +92,7 @@ struct ClusterBuildStats {
   bool incremental = false;   // cached buckets were reused
   double build_ms = 0.0;
   // Phase split of build_ms, for the perf harness.
-  double pack_ms = 0.0;   // candidate packing (rows, paths, dir components)
+  double pack_ms = 0.0;   // candidate packing (rows, directory nodes)
   double plan_ms = 0.0;   // dirty-set collection and rescore planning
   double score_ms = 0.0;  // edge scoring
   double merge_ms = 0.0;  // union + materialise + emit
@@ -114,7 +116,11 @@ class ClusterBuilder {
   ClusterSet Build(const std::vector<FileId>& candidates) const;
 
   // Adjusted shared-neighbor count for an ordered pair (x in Table 1).
-  // Reference implementation; Build uses an allocation-free equivalent.
+  // Reference implementation: sorted-merge intersection plus the string
+  // DirectoryDistance. Build computes the same value from cached inputs:
+  // it stamps f's live row into a FileId-indexed array once per slot and
+  // counts the stamped entries of each partner's row, and it measures
+  // directory distance as an integer walk over interned directory nodes.
   double AdjustedSharedCount(FileId from, FileId to) const;
 
   // Incremental rebuilds are on by default; turning them off forces every
@@ -141,9 +147,12 @@ class ClusterBuilder {
 
   uint64_t PairKey(FileId a, FileId b) const;
   double InvestigatedStrength(FileId a, FileId b) const;
-  // Rebuilds one file's cached scoring inputs: sorted live-neighbor row,
-  // interner path view, dirname components.
+  // Rebuilds one file's cached scoring inputs: its live-neighbor row, and
+  // its directory node when its name changed.
   void RefreshFileInputs(FileId f) const;
+  // Interns the containing directory of `path` (and its ancestors) as
+  // DirectoryDistance sees it; returns its node.
+  uint32_t DirNodeOf(std::string_view path) const;
   // Decides which candidate slots need rescoring (rescore_: keep, partial
   // or full) and which files' inputs must be refreshed (refresh_); returns
   // false when the cache cannot be used (full rebuild required).
@@ -187,12 +196,19 @@ class ClusterBuilder {
   mutable uint64_t built_epoch_ = 0;
   mutable std::vector<FileId> cached_candidates_;
   mutable std::vector<uint8_t> was_candidate_;  // by FileId, previous build
-  // Persistent per-file scoring inputs, refreshed only for dirty files
-  // (interner views are stable for the process lifetime, so the cached
-  // path and component views never dangle):
-  mutable std::vector<std::vector<FileId>> live_row_;  // sorted live neighbors
-  mutable std::vector<std::string_view> file_path_;
-  mutable std::vector<std::vector<std::string_view>> file_dirs_;
+  // Persistent per-file scoring inputs, refreshed only for dirty files:
+  mutable std::vector<std::vector<FileId>> live_row_;  // live neighbors, unsorted
+  // Directory tree of every file this builder has scored, one node per
+  // distinct directory (node 0 is the root). Keyed by FileId here, not by
+  // PathId: fleet tenants share one interner but not one builder.
+  struct DirNode {
+    uint32_t parent;
+    uint32_t depth;  // components below the root
+  };
+  mutable std::vector<DirNode> dir_nodes_;
+  mutable std::unordered_map<std::string, uint32_t> dir_index_;  // '/'-joined prefix -> node
+  mutable std::vector<uint32_t> file_dir_;  // FileId -> node
+  mutable std::vector<PathId> dir_path_;    // FileId -> name file_dir_ was built from
   // Scratch reused across builds:
   mutable std::vector<uint32_t> slot_of_;   // FileId -> slot, sentinel
   mutable std::vector<uint8_t> rescore_;    // per slot: keep/partial/full

@@ -1,6 +1,7 @@
 #include "src/sim/missfree.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 
 namespace seer {
@@ -43,16 +44,28 @@ uint64_t WorkingSetBytes(const std::set<std::string>& referenced, const SizeOfFn
 std::vector<std::string> SeerCoverageOrder(const Correlator& correlator,
                                            const ClusterSet& clusters,
                                            const std::set<PathId>& always_hoard) {
+  // The interner is canonical (one PathId per spelling), so deduplicating
+  // by id is exact and copies no path until it is emitted.
   std::vector<std::string> order;
-  std::unordered_set<std::string> emitted;
-  auto emit = [&](std::string_view path) {
-    if (!path.empty() && emitted.emplace(path).second) {
-      order.emplace_back(path);
+  std::vector<uint8_t> emitted;  // by PathId
+  auto seen = [&](PathId path) { return path < emitted.size() && emitted[path] != 0; };
+  auto emit = [&](PathId path) {
+    if (path == kInvalidPathId || seen(path)) {
+      return;
     }
+    const std::string_view spelling = GlobalPaths().PathOf(path);
+    if (spelling.empty()) {
+      return;
+    }
+    if (path >= emitted.size()) {
+      emitted.resize(static_cast<size_t>(path) + 1, 0);
+    }
+    emitted[path] = 1;
+    order.emplace_back(spelling);
   };
 
   for (const PathId path : always_hoard) {
-    emit(GlobalPaths().PathOf(path));
+    emit(path);
   }
 
   const FileTable& files = correlator.files();
@@ -75,7 +88,7 @@ std::vector<std::string> SeerCoverageOrder(const Correlator& correlator,
   for (const Ranked& r : ranked) {
     for (const FileId id : clusters.clusters[r.index].members) {
       if (!files.Get(id).deleted) {
-        emit(files.PathOf(id));
+        emit(files.Get(id).path);
       }
     }
   }
@@ -84,15 +97,14 @@ std::vector<std::string> SeerCoverageOrder(const Correlator& correlator,
   // in always_hoard already; this catches stragglers), newest first.
   std::vector<std::pair<uint64_t, FileId>> rest;
   for (const FileId id : files.LiveIds()) {
-    const std::string_view path = files.PathOf(id);
-    if (emitted.count(std::string(path)) == 0) {
+    if (!seen(files.Get(id).path)) {
       rest.emplace_back(files.Get(id).last_ref_seq, id);
     }
   }
   std::sort(rest.begin(), rest.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   for (const auto& [seq, id] : rest) {
-    emit(files.PathOf(id));
+    emit(files.Get(id).path);
   }
   return order;
 }

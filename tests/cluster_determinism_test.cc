@@ -8,9 +8,15 @@
 //     including across deletes, renames, and exclusions;
 //   * the kn/kf two-threshold semantics (combine vs overlap) survive the
 //     flat-structure engine when driven through real relation-table rows
-//     rather than the investigated-pair side channel.
+//     rather than the investigated-pair side channel;
+//   * full and incremental builds both equal an independent reference
+//     built from AdjustedSharedCount alone, over odd path spellings,
+//     investigated pairs, deleted and excluded neighbours, and renames.
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -271,6 +277,272 @@ TEST(ClusterDeterminism, KfOverlapThroughRelationTable) {
     found_abc = found_abc || (m.size() == 3 && m[0] == a && m[1] == b && m[2] == c);
   }
   EXPECT_TRUE(found_abc);
+}
+
+// Clusters from ClusterBuilder::AdjustedSharedCount alone (a sorted-merge
+// shared count plus the string DirectoryDistance), with the combine and
+// overlap rules spelled out directly. Shares nothing with Build's cached
+// rows, stamp counts or directory nodes. Clusters come out in Build's
+// order: by smallest member, a far-overlap duplicate of an earlier cluster
+// dropped.
+std::vector<std::vector<FileId>> ReferenceClusters(
+    const ClusterBuilder& builder, const FileTable& files, const RelationTable& relations,
+    const SeerParams& params, const std::vector<std::pair<FileId, FileId>>& investigated) {
+  const std::vector<FileId> candidates = files.LiveIds();
+  const std::set<FileId> is_candidate(candidates.begin(), candidates.end());
+  std::map<FileId, FileId> parent;  // union-find, rooted at the smallest member
+  for (const FileId f : candidates) {
+    parent[f] = f;
+  }
+  auto find = [&](FileId f) {
+    while (parent[f] != f) {
+      f = parent[f];
+    }
+    return f;
+  };
+  std::vector<std::pair<FileId, FileId>> far;
+  for (const FileId f : candidates) {
+    const std::vector<FileId> row = relations.LiveNeighborIds(f);
+    std::set<FileId> partners(row.begin(), row.end());
+    for (const auto& [a, b] : investigated) {
+      if (a == f) {
+        partners.insert(b);
+      } else if (b == f) {
+        partners.insert(a);
+      }
+    }
+    for (const FileId g : partners) {
+      if (g == f || is_candidate.count(g) == 0) {
+        continue;
+      }
+      const double x = builder.AdjustedSharedCount(f, g);
+      if (x >= params.cluster_near) {
+        const FileId rf = find(f);
+        const FileId rg = find(g);
+        parent[std::max(rf, rg)] = std::min(rf, rg);
+      } else if (x >= params.cluster_far) {
+        far.emplace_back(f, g);
+      }
+    }
+  }
+  std::map<FileId, std::set<FileId>> by_root;
+  for (const FileId f : candidates) {
+    by_root[find(f)].insert(f);
+  }
+  std::set<FileId> touched;
+  for (const auto& [f, g] : far) {
+    const FileId rf = find(f);
+    const FileId rg = find(g);
+    if (rf != rg) {
+      by_root[rg].insert(f);
+      by_root[rf].insert(g);
+      touched.insert(rf);
+      touched.insert(rg);
+    }
+  }
+  std::vector<std::vector<FileId>> out;
+  std::set<std::set<FileId>> emitted;
+  for (const auto& [root, members] : by_root) {
+    if (touched.count(root) != 0 && !emitted.insert(members).second) {
+      continue;
+    }
+    out.emplace_back(members.begin(), members.end());
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const ClusterSet& got, const std::vector<std::vector<FileId>>& want,
+                            size_t file_count, const std::string& label) {
+  ASSERT_EQ(got.clusters.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.clusters[i].members, want[i]) << label << " cluster " << i;
+  }
+  for (FileId f = 0; f < file_count; ++f) {
+    std::vector<uint32_t> expect;
+    for (uint32_t i = 0; i < want.size(); ++i) {
+      if (std::binary_search(want[i].begin(), want[i].end(), f)) {
+        expect.push_back(i);
+      }
+    }
+    const ClusterIndexSpan span = got.ClustersOf(f);
+    EXPECT_EQ(std::vector<uint32_t>(span.begin(), span.end()), expect) << label << " file " << f;
+  }
+}
+
+// What the correlator does when a file's liveness or name flips.
+void DeleteFile(FileTable* files, RelationTable* relations, const SeerParams& params, FileId id) {
+  for (const FileId expired : files->MarkDeleted(id, params.delete_delay)) {
+    relations->Purge(expired);
+  }
+  relations->MarkSetChanged(id);
+}
+
+// Randomized relation tables over odd path spellings, with investigated
+// pairs and deleted and excluded neighbours: the incremental and the full
+// builder must both equal the reference after every round.
+TEST(ClusterDeterminism, BuildMatchesAdjustedSharedCountReference) {
+  SeerParams params;
+  params.max_neighbors = 8;
+  params.cluster_near = 5;
+  params.cluster_far = 3;
+  params.dir_distance_weight = 1.0;
+  params.investigator_weight = 1.0;
+  FileTable files;
+  RelationTable relations(params, &files);
+  ClusterBuilder incremental(params, &files, &relations);
+  ClusterBuilder full(params, &files, &relations);
+  full.set_incremental(false);
+  std::vector<std::pair<FileId, FileId>> investigated;
+
+  // Directory spellings: collapsed slashes, the root, a bare name, a
+  // relative path, and the same component name at different depths. Some
+  // files also get a trailing '/'.
+  const std::vector<std::string> dirs = {
+      "/ref/a/", "//ref//a//", "/ref/b/", "/ref/a/ref/", "/ref/ref/a/", "/", "", "ref/a/", "/a/"};
+  std::mt19937 rng(1818);
+  const int kFiles = 90;
+  const int kProject = 10;
+  std::vector<FileId> ids;
+  for (int i = 0; i < kFiles; ++i) {
+    // Two directories per project, so in-project edges see distances too.
+    const std::string& dir = dirs[(i / kProject * 2 + rng() % 2) % dirs.size()];
+    std::string path = std::string(dir).append("r").append(std::to_string(i));
+    if (rng() % 5 == 0) {
+      path += "/";
+    }
+    ids.push_back(files.Intern(GlobalPaths().Intern(path)));
+  }
+  auto observe_project = [&](int project, int count) {
+    std::uniform_int_distribution<int> local(0, kProject - 1);
+    std::uniform_int_distribution<int> any(0, kFiles - 1);
+    std::uniform_real_distribution<double> distance(1.0, 20.0);
+    for (int k = 0; k < count; ++k) {
+      const FileId from = ids[static_cast<size_t>(project * kProject + local(rng))];
+      const bool outsider = rng() % 8 == 0;
+      const FileId to = ids[static_cast<size_t>(outsider ? any(rng)
+                                                         : project * kProject + local(rng))];
+      if (from != to) {
+        relations.Observe(from, to, distance(rng));
+      }
+    }
+  };
+  auto add_pair = [&](FileId a, FileId b, double strength) {
+    incremental.AddInvestigatedPair(a, b, strength);
+    full.AddInvestigatedPair(a, b, strength);
+    investigated.emplace_back(a, b);
+  };
+  for (int p = 0; p < kFiles / kProject; ++p) {
+    observe_project(p, 120);
+  }
+  std::uniform_int_distribution<int> pick(0, kFiles - 1);
+  for (int k = 0; k < 6; ++k) {
+    add_pair(ids[static_cast<size_t>(pick(rng))], ids[static_cast<size_t>(pick(rng))],
+             1.0 + static_cast<double>(rng() % 4));
+  }
+
+  bool saw_combine = false;
+  bool saw_overlap = false;
+  for (int round = 0; round < 8; ++round) {
+    const std::string label = std::string("round ").append(std::to_string(round));
+    const std::vector<std::vector<FileId>> want =
+        ReferenceClusters(full, files, relations, params, investigated);
+    ExpectMatchesReference(incremental.Build(files.LiveIds()), want, files.size(),
+                           label + " incremental");
+    ExpectMatchesReference(full.Build(files.LiveIds()), want, files.size(), label + " full");
+    for (const std::vector<FileId>& c : want) {
+      saw_combine = saw_combine || c.size() > 1;
+    }
+    for (const FileId f : files.LiveIds()) {
+      size_t in = 0;
+      for (const std::vector<FileId>& c : want) {
+        in += std::binary_search(c.begin(), c.end(), f) ? 1 : 0;
+      }
+      saw_overlap = saw_overlap || in > 1;
+    }
+
+    observe_project(static_cast<int>(rng() % (kFiles / kProject)), 25);
+    const FileId victim = ids[static_cast<size_t>(pick(rng))];
+    if (round % 2 == 0) {
+      DeleteFile(&files, &relations, params, victim);
+    } else {
+      files.MarkExcluded(victim);
+      relations.MarkSetChanged(victim);
+      relations.Purge(victim);
+    }
+    if (round % 3 == 1) {
+      // A repeat of an existing pair accumulates; a fresh one adds a partner.
+      const auto [a, b] = investigated[static_cast<size_t>(round) % investigated.size()];
+      add_pair(a, b, 2.0);
+      add_pair(ids[static_cast<size_t>(pick(rng))], ids[static_cast<size_t>(pick(rng))], 5.0);
+    }
+  }
+  EXPECT_TRUE(saw_combine);
+  EXPECT_TRUE(saw_overlap);
+}
+
+// A rename across directories moves a file's directory node: a rebuild
+// that kept the old node would still combine the file with its former
+// project-mates. Deletions in the same round shrink other
+// rows. Full and incremental builds must both equal the reference, and
+// the rebuild must really be incremental.
+TEST(ClusterDeterminism, RenameAcrossDirectoriesMatchesReference) {
+  SeerParams params;
+  params.max_neighbors = 12;
+  params.cluster_near = 6;
+  params.cluster_far = 3;
+  params.dir_distance_weight = 1.0;
+  FileTable files;
+  RelationTable relations(params, &files);
+  ClusterBuilder incremental(params, &files, &relations);
+  ClusterBuilder full(params, &files, &relations);
+  full.set_incremental(false);
+
+  // Ten projects of ten files, one directory each; every file's row names
+  // its nine project-mates, so two mates share eight live neighbours.
+  const int kProjects = 10;
+  const int kProject = 10;
+  std::vector<FileId> ids;
+  for (int p = 0; p < kProjects; ++p) {
+    for (int i = 0; i < kProject; ++i) {
+      ids.push_back(files.Intern(GlobalPaths().Intern(
+          std::string("/mv/p").append(std::to_string(p)).append("/f").append(std::to_string(i)))));
+    }
+  }
+  for (int p = 0; p < kProjects; ++p) {
+    for (int i = 0; i < kProject; ++i) {
+      for (int j = 0; j < kProject; ++j) {
+        if (i != j) {
+          relations.Observe(ids[static_cast<size_t>(p * kProject + i)],
+                            ids[static_cast<size_t>(p * kProject + j)], 1.0 + i + j);
+        }
+      }
+    }
+  }
+  const std::vector<std::pair<FileId, FileId>> none;
+  const FileId moved = ids[3];
+  const ClusterSet cold = incremental.Build(files.LiveIds());
+  ExpectMatchesReference(cold, ReferenceClusters(full, files, relations, params, none),
+                         files.size(), "cold");
+  full.Build(files.LiveIds());
+  ASSERT_EQ(cold.ClustersOf(moved).size(), 1u);
+  EXPECT_EQ(cold.clusters[cold.ClustersOf(moved)[0]].members.size(), 10u);
+
+  // Five tree edges from its old directory: with one mate deleted, x falls
+  // from 8 to 7 - 5 = 2, below kf, so the file leaves its project.
+  files.RenameFile(moved, GlobalPaths().Intern("/mv/elsewhere/deep/down/under/f3"));
+  relations.MarkSetChanged(moved);
+  for (const FileId gone : {ids[7], ids[41], ids[46]}) {
+    DeleteFile(&files, &relations, params, gone);
+  }
+
+  const std::vector<std::vector<FileId>> want =
+      ReferenceClusters(full, files, relations, params, none);
+  const ClusterSet got = incremental.Build(files.LiveIds());
+  EXPECT_TRUE(incremental.last_build_stats().incremental);
+  ExpectMatchesReference(got, want, files.size(), "after rename incremental");
+  ExpectMatchesReference(full.Build(files.LiveIds()), want, files.size(), "after rename full");
+  ASSERT_EQ(got.ClustersOf(moved).size(), 1u);
+  EXPECT_EQ(got.clusters[got.ClustersOf(moved)[0]].members, std::vector<FileId>{moved});
 }
 
 }  // namespace
